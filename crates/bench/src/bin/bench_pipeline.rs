@@ -10,17 +10,16 @@
 //! a perf trajectory.
 //!
 //! Usage:
-//!   bench_pipeline [--quick] [--threads N] [--out PATH] [--check BASELINE.json]
+//!   bench_pipeline [--quick] [--out PATH] [--check BASELINE.json]
 //!
-//! `--quick` shortens the measured window (CI smoke). `--threads N` sets
-//! the worker count for the sharded-parallel section (default: one shard
-//! per available core, up to 8); the section runs the 64-node scenario
-//! serially and on N shards and records the speedup. `--check` compares
-//! events/sec and allocs/event against a previously emitted JSON and
-//! exits non-zero on a regression (>25% throughput drop or >15% alloc
-//! growth). The serial baseline fields are measured with threads=1
-//! regardless of `--threads`, so the gate is machine-parallelism
-//! independent.
+//! `--quick` shortens the measured window (CI smoke). `--check` compares
+//! against a previously emitted JSON. It runs every exact gate first —
+//! the deterministic counters (memo, overload, compile split, digests),
+//! the hierarchy's spine/link invariants, the detlint state, and
+//! allocs/event (>15% growth fails) — and only then the noisy wall-clock
+//! gate (>25% events/sec drop, best of 3). Every failure is reported
+//! together before the single non-zero exit, so a noisy throughput
+//! sample never hides real drift.
 
 // The counting allocator is the one place in the workspace that needs
 // `unsafe`: wrapping the system allocator behind `GlobalAlloc` to count
@@ -76,28 +75,7 @@ struct Measurement {
 }
 
 fn measure(nodes: usize, warmup_s: u64, measure_s: u64) -> Measurement {
-    measure_threaded(nodes, warmup_s, measure_s, 1, false).0
-}
-
-/// Measure `nodes` on `threads` worker shards; returns the measurement
-/// and the shard count actually used. The speedup section passes
-/// `tiny_stagger` for both the serial and the parallel run: a 1 µs poll
-/// stagger lets polls share conservative windows (the 1 ms default models
-/// boot skew but serializes the window schedule), and using it on both
-/// sides keeps the comparison apples-to-apples.
-fn measure_threaded(
-    nodes: usize,
-    warmup_s: u64,
-    measure_s: u64,
-    threads: usize,
-    tiny_stagger: bool,
-) -> (Measurement, usize) {
-    let mut cfg = ClusterConfig::new(nodes);
-    if tiny_stagger {
-        cfg = cfg.stagger(SimDur::from_micros(1));
-    }
-    let mut sim = ClusterSim::new(cfg);
-    sim.set_threads(threads);
+    let mut sim = ClusterSim::new(ClusterConfig::new(nodes));
     sim.start();
     sim.run_until(SimTime::from_secs(warmup_s));
 
@@ -124,21 +102,17 @@ fn measure_threaded(
         .sum::<u64>()
         - polls_before;
     let wall_s = wall.as_secs_f64().max(1e-9);
-    let shards = sim.shards();
-    (
-        Measurement {
-            nodes,
-            sim_secs: measure_s,
-            wall_ms: wall_s * 1e3,
-            events,
-            events_per_sec: events as f64 / wall_s,
-            ns_per_poll_tick: wall.as_nanos() as f64 / polls.max(1) as f64,
-            allocs_per_event: allocs as f64 / events.max(1) as f64,
-            sched_events_per_sec: events as f64 / wall_s,
-            memo_bypassed,
-        },
-        shards,
-    )
+    Measurement {
+        nodes,
+        sim_secs: measure_s,
+        wall_ms: wall_s * 1e3,
+        events,
+        events_per_sec: events as f64 / wall_s,
+        ns_per_poll_tick: wall.as_nanos() as f64 / polls.max(1) as f64,
+        allocs_per_event: allocs as f64 / events.max(1) as f64,
+        sched_events_per_sec: events as f64 / wall_s,
+        memo_bypassed,
+    }
 }
 
 /// Counters from the scripted overload scenario: a 3-node mesh with
@@ -160,7 +134,6 @@ fn measure_overload() -> Overload {
         .event_pad(1_500_000);
     cfg.link = LinkSpec::fast_ethernet().with_queue(2, 64 * 1024 * 1024);
     let mut sim = ClusterSim::new(cfg);
-    sim.set_threads(1);
     sim.start();
     sim.apply_fault_plan(
         &FaultPlan::new(0x0BAD_10AD)
@@ -208,7 +181,6 @@ struct FilterWorkload {
 
 fn measure_filter_workload() -> FilterWorkload {
     let mut sim = ClusterSim::new(ClusterConfig::new(8).poll_period(SimDur::from_secs(1)));
-    sim.set_threads(1);
     sim.start();
     sim.run_until(SimTime::from_secs(2));
     let calib = sim.world().calib.clone();
@@ -274,7 +246,6 @@ fn measure_hier_digest() -> HierDigest {
         .racks(4)
         .poll_period(SimDur::from_secs(1));
     let mut sim = ClusterSim::new(cfg);
-    sim.set_threads(1);
     sim.start();
     sim.run_until(SimTime::from_secs(30));
     let w = sim.world();
@@ -336,7 +307,6 @@ struct ScaleRun {
 fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
     let cfg = ClusterConfig::new(nodes).racks(rack_size);
     let mut sim = ClusterSim::new(cfg);
-    sim.set_threads(1);
     sim.start();
     let start = Instant::now();
     sim.run_until(SimTime::from_secs(sim_secs));
@@ -406,27 +376,6 @@ impl ScaleRun {
     }
 }
 
-/// Serial-vs-sharded wall clock on one scenario size.
-struct Speedup {
-    nodes: usize,
-    shards: usize,
-    serial_wall_ms: f64,
-    parallel_wall_ms: f64,
-    speedup: f64,
-}
-
-fn measure_speedup(nodes: usize, warmup_s: u64, measure_s: u64, threads: usize) -> Speedup {
-    let (serial, _) = measure_threaded(nodes, warmup_s, measure_s, 1, true);
-    let (parallel, shards) = measure_threaded(nodes, warmup_s, measure_s, threads, true);
-    Speedup {
-        nodes,
-        shards,
-        serial_wall_ms: serial.wall_ms,
-        parallel_wall_ms: parallel.wall_ms,
-        speedup: serial.wall_ms / parallel.wall_ms.max(1e-9),
-    }
-}
-
 impl Measurement {
     fn json_fields(&self) -> String {
         format!(
@@ -440,16 +389,6 @@ impl Measurement {
             self.allocs_per_event,
             self.sched_events_per_sec,
             self.memo_bypassed,
-        )
-    }
-}
-
-impl Speedup {
-    fn json_fields(&self) -> String {
-        let n = self.nodes;
-        format!(
-            "  \"par{n}_serial_wall_ms\": {:.3},\n  \"par{n}_parallel_wall_ms\": {:.3},\n  \"par{n}_speedup\": {:.2}",
-            self.serial_wall_ms, self.parallel_wall_ms, self.speedup,
         )
     }
 }
@@ -480,26 +419,9 @@ fn main() {
     };
     let out_path = arg_val("--out").unwrap_or_else(|| "BENCH_pipeline.json".to_string());
     let baseline = arg_val("--check");
-    let threads = arg_val("--threads")
-        .map(|v| v.parse::<usize>().expect("--threads takes a number"))
-        .unwrap_or_else(|| simcore::parallel::suggested_threads(8));
 
     let (warmup_s, measure_s) = if quick { (3, 10) } else { (5, 30) };
     let m = measure(16, warmup_s, measure_s);
-
-    // The sharded-parallel section: serial vs `threads` shards on the
-    // bigger scenarios (64 nodes always; 256 in full mode only).
-    let (par_warm, par_secs) = if quick { (1, 4) } else { (2, 10) };
-    let mut speedups = vec![measure_speedup(64, par_warm, par_secs, threads)];
-    if !quick {
-        speedups.push(measure_speedup(256, 1, 3, threads));
-    }
-    for s in &speedups {
-        eprintln!(
-            "bench_pipeline: scalability{}: serial {:.0} ms, {} shards {:.0} ms -> {:.2}x",
-            s.nodes, s.serial_wall_ms, s.shards, s.parallel_wall_ms, s.speedup
-        );
-    }
 
     // The overload section: deterministic robustness counters from a
     // scripted congestion scenario, so the perf trajectory also tracks
@@ -550,10 +472,6 @@ fn main() {
     let detlint = detlint_summary();
 
     let mut sections = vec![m.json_fields()];
-    sections.push(format!(
-        "  \"threads\": {},\n  \"shards\": {}",
-        threads, speedups[0].shards
-    ));
     if let Some((fresh_errors, total)) = detlint {
         sections.push(format!("  \"detlint_findings\": {total}"));
         if fresh_errors > 0 {
@@ -564,7 +482,6 @@ fn main() {
     sections.push(fw.json_fields());
     sections.push(hier.json_fields());
     sections.push(scale.json_fields());
-    sections.extend(speedups.iter().map(Speedup::json_fields));
     let json = format!("{{\n{}\n}}\n", sections.join(",\n"));
     print!("{json}");
     std::fs::write(&out_path, &json).expect("write BENCH_pipeline.json");
@@ -573,146 +490,136 @@ fn main() {
         m.sim_secs, m.wall_ms, out_path
     );
 
-    if let Some(base_path) = baseline {
-        let base = std::fs::read_to_string(&base_path)
-            .unwrap_or_else(|e| panic!("read baseline {base_path}: {e}"));
-        let base_eps = json_field(&base, "events_per_sec").expect("baseline events_per_sec");
-        // Allow a wide band: CI machines vary, but a >25% drop against the
-        // checked-in baseline flags a hot-path regression. A slow first
-        // sample alone is not a verdict — cold caches and frequency
-        // scaling produce 2x outliers — so a regression must survive two
-        // re-measurements (best-of-3) before it fails the job.
-        let mut best = m.events_per_sec;
-        for _ in 0..2 {
-            if best / base_eps >= 0.75 {
-                break;
-            }
-            let retry = measure(16, warmup_s, measure_s);
-            eprintln!(
-                "bench_pipeline: retry measured {:.0} events/sec",
-                retry.events_per_sec
-            );
-            best = best.max(retry.events_per_sec);
-        }
-        let ratio = best / base_eps;
-        eprintln!(
-            "bench_pipeline: events/sec {:.0} vs baseline {:.0} ({:.2}x)",
-            best, base_eps, ratio
-        );
-        if ratio < 0.75 {
-            eprintln!("bench_pipeline: REGRESSION beyond 25% budget");
-            std::process::exit(1);
-        }
-        // Allocations per delivered event are deterministic (no noise
-        // band needed beyond rounding): more than 15% growth means a new
-        // allocation crept onto the hot path.
-        if let Some(base_allocs) = json_field(&base, "allocs_per_event") {
-            eprintln!(
-                "bench_pipeline: allocs/event {:.2} vs baseline {:.2}",
-                m.allocs_per_event, base_allocs
-            );
-            if m.allocs_per_event > base_allocs * 1.15 {
-                eprintln!("bench_pipeline: ALLOCATION REGRESSION beyond 15% budget");
-                std::process::exit(1);
-            }
-        }
-        // The bench scenario deploys only parameter rules — no E-code
-        // filters — so memo bypasses are fully deterministic (0 today).
-        // An exact mismatch against the baseline means the memo gate is
-        // misclassifying filters, not that the machine is noisy.
-        if let Some(base_bypass) = json_field(&base, "memo_bypassed") {
-            eprintln!(
-                "bench_pipeline: memo_bypassed {} vs baseline {:.0}",
-                m.memo_bypassed, base_bypass
-            );
+    let Some(base_path) = baseline else {
+        return;
+    };
+    let base = std::fs::read_to_string(&base_path)
+        .unwrap_or_else(|e| panic!("read baseline {base_path}: {e}"));
+    let mut failures = Vec::new();
+
+    // Exact gates first. Every counter below is a bit-deterministic sim
+    // output, so a mismatch against the baseline means behavior changed
+    // without the baseline being regenerated alongside it — never noise.
+    // - memo_bypassed: the bench scenario deploys only parameter rules,
+    //   so any bypass means the memo gate misclassifies filters;
+    // - overload counters: the backpressure or ladder policy changed;
+    // - compile split: every certified filter in the scripted mesh must
+    //   compile, and a fallback means the register compiler lost
+    //   coverage of a certified shape;
+    // - digest counters: the aggregation tier's cadence or payload shape
+    //   changed.
+    for (key, got, what) in [
+        ("memo_bypassed", m.memo_bypassed, "MEMO GATE REGRESSION"),
+        ("link_drops", overload.link_drops, "OVERLOAD POLICY DRIFT"),
+        ("events_shed", overload.events_shed, "OVERLOAD POLICY DRIFT"),
+        (
+            "ladder_transitions",
+            overload.ladder_transitions,
+            "OVERLOAD POLICY DRIFT",
+        ),
+        (
+            "filters_compiled",
+            fw.filters_compiled,
+            "FILTER COMPILE DRIFT",
+        ),
+        (
+            "interp_fallbacks",
+            fw.interp_fallbacks,
+            "FILTER COMPILE DRIFT",
+        ),
+        ("hier_digests_sent", hier.digests_sent, "DIGEST DRIFT"),
+        (
+            "hier_digests_received",
+            hier.digests_received,
+            "DIGEST DRIFT",
+        ),
+        ("hier_digest_records", hier.digest_records, "DIGEST DRIFT"),
+    ] {
+        if let Some(base_v) = json_field(&base, key) {
+            eprintln!("bench_pipeline: {key} {got} vs baseline {base_v:.0}");
             #[allow(clippy::float_cmp)] // integer-valued counters, exact by design
-            if m.memo_bypassed as f64 != base_bypass {
-                eprintln!("bench_pipeline: MEMO GATE REGRESSION (bypass count changed)");
-                std::process::exit(1);
+            if got as f64 != base_v {
+                failures.push(format!("{what}: {key} {got} vs baseline {base_v:.0}"));
             }
         }
-        // Overload counters are bit-deterministic sim outputs — exact
-        // comparison, no noise band. A mismatch means the backpressure
-        // or ladder policy changed without the baseline being
-        // regenerated alongside it.
-        for (key, got) in [
-            ("link_drops", overload.link_drops),
-            ("events_shed", overload.events_shed),
-            ("ladder_transitions", overload.ladder_transitions),
-        ] {
-            if let Some(base_v) = json_field(&base, key) {
-                eprintln!("bench_pipeline: {key} {got} vs baseline {base_v:.0}");
-                #[allow(clippy::float_cmp)] // integer-valued counters, exact by design
-                if got as f64 != base_v {
-                    eprintln!("bench_pipeline: OVERLOAD POLICY DRIFT ({key} changed)");
-                    std::process::exit(1);
-                }
-            }
+    }
+    // Structural invariants of the hierarchy, independent of any
+    // baseline: the digest tier must fit its spine links (no drops at
+    // steady state, in either scripted scenario or the scale run), and no
+    // link may carry more than its configured rate.
+    if hier.spine_drops != 0 || scale.spine_drops != 0 {
+        failures.push(format!(
+            "SPINE DROPS at steady state (hier {}, scale {})",
+            hier.spine_drops, scale.spine_drops
+        ));
+    }
+    if scale.max_link_util > 1.0 {
+        failures.push(format!(
+            "LINK OVERCOMMIT (peak utilization {:.3} > 1)",
+            scale.max_link_util
+        ));
+    }
+    if scale.digests_received == 0 {
+        failures.push("SCALE RUN VACUOUS (no digests delivered)".to_string());
+    }
+    // New unbaselined lint errors fail the run.
+    if let Some((fresh_errors, _)) = detlint {
+        if fresh_errors > 0 {
+            failures.push(format!("DETLINT ERRORS present ({fresh_errors})"));
         }
-        // The compile/fallback split is exact: every certified filter in
-        // the scripted mesh must compile, and the fallback count must
-        // match the baseline (0) — a drift means the register compiler
-        // lost coverage of a certified shape.
-        for (key, got) in [
-            ("filters_compiled", fw.filters_compiled),
-            ("interp_fallbacks", fw.interp_fallbacks),
-        ] {
-            if let Some(base_v) = json_field(&base, key) {
-                eprintln!("bench_pipeline: {key} {got} vs baseline {base_v:.0}");
-                #[allow(clippy::float_cmp)] // integer-valued counters, exact by design
-                if got as f64 != base_v {
-                    eprintln!("bench_pipeline: FILTER COMPILE DRIFT ({key} changed)");
-                    std::process::exit(1);
-                }
-            }
+    }
+    // Allocations per delivered event are deterministic up to rounding:
+    // more than 15% growth means a new allocation crept onto the hot
+    // path.
+    if let Some(base_allocs) = json_field(&base, "allocs_per_event") {
+        eprintln!(
+            "bench_pipeline: allocs/event {:.2} vs baseline {:.2}",
+            m.allocs_per_event, base_allocs
+        );
+        if m.allocs_per_event > base_allocs * 1.15 {
+            failures.push(format!(
+                "ALLOCATION REGRESSION beyond 15% budget ({:.2} vs {:.2})",
+                m.allocs_per_event, base_allocs
+            ));
         }
-        // The aggregation tier's cadence and payload shape are exact:
-        // digest counts and folded record counts are bit-deterministic
-        // sim outputs, so any drift against the baseline means the
-        // hierarchy changed behavior without the baseline moving with it.
-        for (key, got) in [
-            ("hier_digests_sent", hier.digests_sent),
-            ("hier_digests_received", hier.digests_received),
-            ("hier_digest_records", hier.digest_records),
-        ] {
-            if let Some(base_v) = json_field(&base, key) {
-                eprintln!("bench_pipeline: {key} {got} vs baseline {base_v:.0}");
-                #[allow(clippy::float_cmp)] // integer-valued counters, exact by design
-                if got as f64 != base_v {
-                    eprintln!("bench_pipeline: DIGEST DRIFT ({key} changed)");
-                    std::process::exit(1);
-                }
-            }
+    }
+
+    // The wall-clock gate last, so its noise never hides the exact
+    // gates above. Allow a wide band: machines vary, but a >25% drop
+    // against the checked-in baseline flags a hot-path regression. A
+    // slow first sample alone is not a verdict — cold caches and
+    // frequency scaling produce 2x outliers — so a regression must
+    // survive two re-measurements (best-of-3) before it fails the job.
+    let base_eps = json_field(&base, "events_per_sec").expect("baseline events_per_sec");
+    let mut best = m.events_per_sec;
+    for _ in 0..2 {
+        if best / base_eps >= 0.75 {
+            break;
         }
-        // Structural invariants of the hierarchy, independent of any
-        // baseline: the digest tier must fit its spine links (no drops at
-        // steady state, in either scripted scenario or the scale run),
-        // and no link may carry more than its configured rate.
-        if hier.spine_drops != 0 || scale.spine_drops != 0 {
-            eprintln!(
-                "bench_pipeline: SPINE DROPS at steady state (hier {}, scale {})",
-                hier.spine_drops, scale.spine_drops
-            );
-            std::process::exit(1);
+        let retry = measure(16, warmup_s, measure_s);
+        eprintln!(
+            "bench_pipeline: retry measured {:.0} events/sec",
+            retry.events_per_sec
+        );
+        best = best.max(retry.events_per_sec);
+    }
+    let ratio = best / base_eps;
+    eprintln!(
+        "bench_pipeline: events/sec {:.0} vs baseline {:.0} ({:.2}x)",
+        best, base_eps, ratio
+    );
+    if ratio < 0.75 {
+        failures.push(format!(
+            "THROUGHPUT REGRESSION beyond 25% budget ({ratio:.2}x of baseline)"
+        ));
+    }
+
+    if !failures.is_empty() {
+        eprintln!("bench_pipeline: {} gate(s) failed:", failures.len());
+        for f in &failures {
+            eprintln!("  {f}");
         }
-        if scale.max_link_util > 1.0 {
-            eprintln!(
-                "bench_pipeline: LINK OVERCOMMIT (peak utilization {:.3} > 1)",
-                scale.max_link_util
-            );
-            std::process::exit(1);
-        }
-        if scale.digests_received == 0 {
-            eprintln!("bench_pipeline: SCALE RUN VACUOUS (no digests delivered)");
-            std::process::exit(1);
-        }
-        // Same for the lint state: new unbaselined errors fail the run.
-        if let Some((fresh_errors, _)) = detlint {
-            if fresh_errors > 0 {
-                eprintln!("bench_pipeline: DETLINT ERRORS present");
-                std::process::exit(1);
-            }
-        }
+        std::process::exit(1);
     }
 }
 

@@ -17,8 +17,8 @@
 //!   silent or double-counted;
 //! * **re-convergent**: once the last fault heals, every node returns to
 //!   ladder level 0, every outbox drains, and every peer is Fresh again;
-//! * **deterministic**: the serial scheduler and the sharded parallel
-//!   driver (4 threads) produce bit-identical final state.
+//! * **deterministic**: a second run of the same seed, in the same
+//!   process, lands on bit-identical final state.
 //!
 //! A failing seed prints a one-line repro command, so soak failures are
 //! immediately replayable:
@@ -151,21 +151,20 @@ fn compose(seed: u64) -> Scenario {
     }
 }
 
-fn build(s: &Scenario, threads: usize) -> ClusterSim {
+fn build(s: &Scenario) -> ClusterSim {
     let mut cfg = ClusterConfig::new(s.nodes)
         .poll_period(SimDur::from_secs(1))
         .failure_bounds(SimDur::from_secs(3), SimDur::from_secs(8))
         .event_pad(s.event_pad);
     cfg.link = LinkSpec::fast_ethernet().with_queue(queue_cap(s.nodes), 64 * 1024 * 1024);
     let mut sim = ClusterSim::new(cfg);
-    sim.set_threads(threads);
     sim.apply_fault_plan(&s.plan);
     sim.start();
     sim
 }
 
 /// Everything observable about a finished run, in comparable form — the
-/// serial/parallel determinism check hashes nothing, it compares it all.
+/// same-seed replay check hashes nothing, it compares it all.
 fn fingerprint(sim: &ClusterSim) -> String {
     let w = sim.world();
     let mut out = String::new();
@@ -203,7 +202,7 @@ struct Outcome {
 fn soak_one(seed: u64) -> (Outcome, Vec<String>) {
     let s = compose(seed);
     let mut bad = Vec::new();
-    let mut sim = build(&s, 1);
+    let mut sim = build(&s);
 
     // Walk the run a second at a time so the bounded-ness invariants are
     // checked throughout the overload, not just after recovery.
@@ -277,13 +276,13 @@ fn soak_one(seed: u64) -> (Outcome, Vec<String>) {
         }
     }
 
-    // Determinism under overload: the sharded parallel driver must land
-    // on bit-identical state.
-    let serial_fp = fingerprint(&sim);
-    let mut par = build(&s, 4);
-    par.run_until(SimTime::from_secs(END_S));
-    if fingerprint(&par) != serial_fp {
-        bad.push("threads=4 diverged from serial".into());
+    // Determinism under overload: a one-shot replay of the same seed must
+    // land on bit-identical state.
+    let first_fp = fingerprint(&sim);
+    let mut replay = build(&s);
+    replay.run_until(SimTime::from_secs(END_S));
+    if fingerprint(&replay) != first_fp {
+        bad.push("same-seed replay diverged".into());
     }
 
     println!(

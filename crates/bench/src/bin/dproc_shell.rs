@@ -75,9 +75,6 @@ enum Cmd {
         prob: f64,
     },
     Faults,
-    Threads {
-        n: usize,
-    },
     Racks {
         size: usize,
     },
@@ -214,18 +211,6 @@ fn parse(line: &str) -> Result<Cmd, String> {
             _ => Err("usage: loss <probability>".into()),
         },
         "faults" => Ok(Cmd::Faults),
-        "threads" => match rest[..] {
-            [n] => {
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| "threads takes a worker count".to_string())?;
-                if n == 0 {
-                    return Err("threads needs at least one worker".into());
-                }
-                Ok(Cmd::Threads { n })
-            }
-            _ => Err("usage: threads <n>".into()),
-        },
         "racks" => match rest[..] {
             [size] => {
                 if size == "off" {
@@ -281,7 +266,6 @@ partition <a> <b>           sever the path between two nodes
 heal <a> <b>                remove a partition
 loss <probability>          drop each delivery with this probability
 faults                      active faults and drop/detection counters
-threads <n>                 worker shards for the next cluster (1 = serial)
 racks <size|off>            rack size for the next cluster (off = flat star)
 topo                        fabric shape, rack membership, digest flow
 lint <filter source>        run the static verifier on an E-code filter
@@ -294,7 +278,6 @@ quit                        leave";
 
 struct Shell {
     sim: Option<ClusterSim>,
-    threads: usize,
     /// Rack size for the next `cluster` command; 0 means flat star.
     rack_size: usize,
 }
@@ -303,21 +286,8 @@ impl Shell {
     fn new() -> Self {
         Shell {
             sim: None,
-            threads: 1,
             rack_size: 0,
         }
-    }
-
-    /// Live fault injection reaches into the world through `parts()`,
-    /// which only the serial driver exposes.
-    fn serial_sim(&mut self, what: &str) -> Result<&mut ClusterSim, String> {
-        let sim = self.sim.as_mut().ok_or("no cluster yet")?;
-        if sim.threads() > 1 {
-            return Err(format!(
-                "{what} needs the serial driver — run `threads 1` and rebuild the cluster"
-            ));
-        }
-        Ok(sim)
     }
 
     fn node(&self, name: &str) -> Result<NodeId, String> {
@@ -358,18 +328,13 @@ impl Shell {
                     cfg = cfg.racks(self.rack_size);
                 }
                 let mut sim = ClusterSim::new(cfg);
-                sim.set_threads(self.threads);
                 sim.start();
                 let names: Vec<String> = sim.world().hosts.iter().map(|h| h.name.clone()).collect();
-                let shards = sim.shards();
                 let n_racks = sim.world().placement.n_racks();
                 self.sim = Some(sim);
                 let mut up = String::from("cluster up");
                 if n_racks > 1 {
                     up.push_str(&format!(" in {n_racks} racks"));
-                }
-                if shards > 1 {
-                    up.push_str(&format!(" on {shards} shards"));
                 }
                 Ok(Some(format!("{up}: {}", names.join(", "))))
             }
@@ -438,7 +403,7 @@ impl Shell {
             }
             Cmd::Revive { node } => {
                 let id = self.node(&node)?;
-                let sim = self.serial_sim("revive")?;
+                let sim = self.sim.as_mut().expect("checked");
                 if sim.world().is_alive(id) {
                     return Err(format!("{node} is already alive"));
                 }
@@ -455,7 +420,7 @@ impl Shell {
                 if ia == ib {
                     return Err("cannot partition a node from itself".into());
                 }
-                let sim = self.serial_sim("partition")?;
+                let sim = self.sim.as_mut().expect("checked");
                 let (w, s) = sim.parts();
                 w.apply_fault(s, &simnet::FaultAction::Partition(ia, ib));
                 Ok(Some(format!("{a} <-/-> {b}")))
@@ -463,7 +428,7 @@ impl Shell {
             Cmd::Heal { a, b } => {
                 let ia = self.node(&a)?;
                 let ib = self.node(&b)?;
-                let sim = self.serial_sim("heal")?;
+                let sim = self.sim.as_mut().expect("checked");
                 let (w, s) = sim.parts();
                 w.apply_fault(s, &simnet::FaultAction::Heal(ia, ib));
                 Ok(Some(format!("{a} <---> {b}")))
@@ -472,7 +437,7 @@ impl Shell {
                 if !(0.0..=1.0).contains(&prob) {
                     return Err("probability must be in 0..=1".into());
                 }
-                let sim = self.serial_sim("loss")?;
+                let sim = self.sim.as_mut().ok_or("no cluster yet")?;
                 let (w, s) = sim.parts();
                 w.apply_fault(s, &simnet::FaultAction::Loss(prob));
                 Ok(Some(format!("network-wide loss probability = {prob}")))
@@ -520,15 +485,6 @@ impl Shell {
                 }
                 None => Err("no cluster yet".into()),
             },
-            Cmd::Threads { n } => {
-                self.threads = n;
-                let note = if self.sim.is_some() {
-                    " (applies when the next `cluster` is built)"
-                } else {
-                    ""
-                };
-                Ok(Some(format!("threads = {n}{note}")))
-            }
             Cmd::Racks { size } => {
                 self.rack_size = size;
                 let note = if self.sim.is_some() {
@@ -865,7 +821,6 @@ mod tests {
                 text: "period cpu 2".into()
             }
         );
-        assert_eq!(parse("threads 4").unwrap(), Cmd::Threads { n: 4 });
         assert_eq!(parse("racks 8").unwrap(), Cmd::Racks { size: 8 });
         assert_eq!(parse("racks off").unwrap(), Cmd::Racks { size: 0 });
         assert_eq!(parse("topo").unwrap(), Cmd::Topo);
@@ -898,9 +853,6 @@ mod tests {
             "partition onlyone",
             "heal onlyone",
             "loss lots",
-            "threads",
-            "threads zero",
-            "threads 0",
             "racks",
             "racks tall",
             "credits",
@@ -1066,32 +1018,6 @@ mod tests {
             sim.world().dmons[0].credits_for(NodeId(2)) < kecho::INITIAL_CREDITS,
             "window toward the dead subscriber should be deflating:\n{out}"
         );
-    }
-
-    #[test]
-    fn threads_command_builds_a_sharded_cluster() {
-        let mut shell = Shell::new();
-        let out = shell.exec(parse("threads 2").unwrap()).unwrap().unwrap();
-        assert!(out.contains("threads = 2"), "{out}");
-        let out = shell
-            .exec(parse("cluster 4 a b c d").unwrap())
-            .unwrap()
-            .unwrap();
-        assert!(out.contains("2 shards"), "{out}");
-        shell.exec(parse("run 5").unwrap()).unwrap();
-        // Read paths still work against the reassembled world.
-        let stats = shell.exec(parse("stats").unwrap()).unwrap().unwrap();
-        assert!(stats.contains('a'), "{stats}");
-        // Live fault injection is a friendly error, not a panic.
-        let err = shell.exec(parse("loss 0.1").unwrap()).unwrap_err();
-        assert!(err.contains("serial driver"), "{err}");
-        let err = shell.exec(parse("partition a b").unwrap()).unwrap_err();
-        assert!(err.contains("serial driver"), "{err}");
-        // Dropping back to one thread restores them on the next cluster.
-        shell.exec(parse("threads 1").unwrap()).unwrap();
-        shell.exec(parse("cluster 2").unwrap()).unwrap();
-        shell.exec(parse("run 2").unwrap()).unwrap();
-        assert!(shell.exec(parse("loss 0.1").unwrap()).is_ok());
     }
 
     #[test]

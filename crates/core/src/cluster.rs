@@ -129,8 +129,7 @@ impl ClusterConfig {
     }
 
     /// Set the poll start stagger between nodes. Tiny staggers (e.g.
-    /// 1 µs) keep all polls inside one conservative window, which is what
-    /// the parallel driver wants; the 1 ms default mimics real boot skew.
+    /// 1 µs) phase-lock the polls; the 1 ms default mimics real boot skew.
     pub fn stagger(mut self, s: SimDur) -> Self {
         self.stagger = s;
         self
@@ -157,12 +156,10 @@ impl ClusterConfig {
     }
 }
 
-/// Typed cluster events. The serial driver routes the three hot event
-/// kinds (polls, service completions, deliveries) through the scheduler's
-/// typed message lane — no per-event closure boxing — and the parallel
-/// engine logs and merges the same values across shards. Fault actions
-/// are cold and stay boxed on the serial driver; only the parallel
-/// engine schedules `Fault` events.
+/// Typed cluster events. The three hot event kinds (polls, service
+/// completions, deliveries) ride the scheduler's typed message lane — no
+/// per-event closure boxing. Fault actions are cold and stay boxed
+/// closures.
 #[derive(Debug, Clone)]
 pub enum ClusterEvent {
     /// One d-mon polling iteration, with its generation token.
@@ -177,18 +174,16 @@ pub enum ClusterEvent {
         sent_at: SimTime,
         queued: SimDur,
     },
-    /// The `k`-th scheduled fault action fires (parallel engine only).
-    Fault { k: usize },
 }
 
 /// The serial scheduler type: world + typed cluster events.
 pub type ClusterSched = Sim<ClusterWorld, ClusterEvent>;
 
 impl HandleMsg<ClusterEvent> for ClusterWorld {
-    /// Serial dispatch of the typed events. Program order inside each arm
-    /// mirrors the old closure bodies exactly (and therefore the parallel
-    /// engine's handlers in [`crate::pcluster`]): the poll re-arm happens
-    /// *after* the poll body, like `schedule_periodic`'s tick wrapper did.
+    /// Dispatch of the typed events. Program order inside each arm mirrors
+    /// the old closure bodies exactly: the poll re-arm happens *after* the
+    /// poll body, like `schedule_periodic`'s tick wrapper did.
+    // detlint: event-entry
     fn handle(&mut self, sim: &mut ClusterSched, msg: ClusterEvent) {
         match msg {
             ClusterEvent::Poll { i, token } => {
@@ -207,9 +202,6 @@ impl HandleMsg<ClusterEvent> for ClusterWorld {
                 sent_at,
                 queued,
             } => self.deliver(sim, hop, ev, bytes, sent_at, queued),
-            ClusterEvent::Fault { .. } => {
-                unreachable!("serial driver schedules fault actions as closures")
-            }
         }
     }
 }
@@ -642,6 +634,8 @@ impl ClusterWorld {
 
     /// Apply one fault action right now. Crash/revive route through the
     /// node lifecycle; network faults mutate [`ClusterWorld::fault`].
+    /// Every [`ClusterSim::apply_fault_plan`] event enters here.
+    // detlint: event-entry
     pub fn apply_fault(&mut self, sim: &mut ClusterSched, action: &simnet::FaultAction) {
         match *action {
             simnet::FaultAction::Crash(node) => self.kill_node(node),
@@ -703,14 +697,7 @@ impl ClusterWorld {
                 let planned = {
                     let dir = &self.dir;
                     let calib = &self.calib;
-                    self.dmons[i].poll_digest(
-                        dir,
-                        dg,
-                        rack as u32,
-                        members,
-                        &outcome.dead_peers,
-                        calib,
-                    )
+                    self.dmons[i].poll_digest(dir, dg, rack as u32, members, calib)
                 };
                 if let Some((sends, cpu)) = planned {
                     self.charge_cpu(sim, node, cpu);
@@ -735,25 +722,17 @@ impl ClusterWorld {
 }
 
 /// The cluster simulation: world + event loop + convenience API.
-///
-/// By default events run on the serial closure-based scheduler. With
-/// [`ClusterSim::set_threads`] the same world runs on the sharded
-/// parallel engine ([`crate::pcluster`]), bit-identical to the serial
-/// run.
 pub struct ClusterSim {
     sim: ClusterSched,
     world: ClusterWorld,
     poll_period: SimDur,
     stagger: SimDur,
     started: bool,
-    threads: usize,
-    driver: Option<crate::pcluster::ParallelDriver>,
 }
 
 impl ClusterSim {
     /// Build a cluster from a configuration. Channels are opened and (by
     /// default) every node subscribes to both.
-    // detlint: replay-only — setup-time bootstrap, before any shard window
     pub fn new(cfg: ClusterConfig) -> Self {
         let n = cfg.names.len();
         assert!(n > 0, "cluster needs at least one node");
@@ -853,47 +832,7 @@ impl ClusterSim {
             poll_period: cfg.poll_period,
             stagger: cfg.stagger,
             started: false,
-            threads: 1,
-            driver: None,
         }
-    }
-
-    /// Run the simulation on `threads` worker shards (1 = the serial
-    /// scheduler, the default). Must be called before [`ClusterSim::start`].
-    /// The parallel run is bit-identical to the serial one; shard count is
-    /// clamped to the node count.
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(!self.started, "set_threads must precede start()");
-        assert!(threads > 0, "threads must be at least 1");
-        self.threads = threads;
-        self.driver = if threads > 1 {
-            Some(crate::pcluster::ParallelDriver::new(
-                &self.world.placement,
-                threads,
-                self.world.net.lookahead(),
-            ))
-        } else {
-            None
-        };
-    }
-
-    /// Configured worker thread count (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of worker shards when parallel, else 1.
-    pub fn shards(&self) -> usize {
-        self.driver
-            .as_ref()
-            .map_or(1, super::pcluster::ParallelDriver::shards)
-    }
-
-    /// Parallel engine counters (`None` on the serial driver).
-    pub fn parallel_stats(&self) -> Option<simcore::pdes::EngineStats> {
-        self.driver
-            .as_ref()
-            .map(super::pcluster::ParallelDriver::stats)
     }
 
     /// Schedule the periodic d-mon polls. Idempotent.
@@ -905,11 +844,7 @@ impl ClusterSim {
         let n = self.world.len();
         for i in 0..n {
             let first = SimTime::ZERO + self.poll_period + self.stagger * (i as u64);
-            if let Some(driver) = self.driver.as_mut() {
-                driver.schedule_poll(i, self.world.poll_token[i], first);
-            } else {
-                ClusterWorld::arm_poll(&mut self.sim, i, self.world.poll_token[i], first);
-            }
+            ClusterWorld::arm_poll(&mut self.sim, i, self.world.poll_token[i], first);
         }
     }
 
@@ -919,10 +854,6 @@ impl ClusterSim {
     /// reseeds the loss RNG so a given plan is deterministic.
     pub fn apply_fault_plan(&mut self, plan: &simnet::FaultPlan) {
         self.world.fault.reseed(plan.seed());
-        if let Some(driver) = self.driver.as_mut() {
-            driver.schedule_fault_plan(plan.actions());
-            return;
-        }
         for (t, action) in plan.actions() {
             self.sim
                 .schedule_at(t, move |w: &mut ClusterWorld, sim: &mut ClusterSched| {
@@ -933,19 +864,11 @@ impl ClusterSim {
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.driver
-            .as_ref()
-            .map_or_else(|| self.sim.now(), super::pcluster::ParallelDriver::now)
+        self.sim.now()
     }
 
     /// Run the event loop until `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        if let Some(mut driver) = self.driver.take() {
-            let world = std::mem::replace(&mut self.world, Self::placeholder_world());
-            self.world = driver.run_until(world, t);
-            self.driver = Some(driver);
-            return;
-        }
         self.sim.run_until(&mut self.world, t);
     }
 
@@ -953,41 +876,6 @@ impl ClusterSim {
     pub fn run_for(&mut self, d: SimDur) {
         let t = self.now() + d;
         self.run_until(t);
-    }
-
-    /// An empty stand-in world occupying `self.world` while the parallel
-    /// engine owns the real one.
-    fn placeholder_world() -> ClusterWorld {
-        let mut dir = Directory::new(Topology::PeerToPeer);
-        let mon_chan = dir.open("dproc-monitoring");
-        let ctl_chan = dir.open("dproc-control");
-        ClusterWorld {
-            net: Network::new(0, LinkSpec::fast_ethernet()),
-            flows: FlowTable::new(),
-            hosts: Vec::new(),
-            dmons: Vec::new(),
-            linpacks: Vec::new(),
-            dir,
-            mon_chan,
-            ctl_chan,
-            placement: Placement::star(0),
-            rack_chans: vec![(mon_chan, ctl_chan)],
-            digest_chan: None,
-            calib: Calib::default(),
-            mon_latency_us: simcore::stats::Sampler::new(),
-            mon_delivered: 0,
-            ctl_delivered: 0,
-            svc_tasks: Vec::new(),
-            svc_pending: Vec::new(),
-            svc_busy: Vec::new(),
-            alive: Vec::new(),
-            fault: simnet::FaultState::new(0),
-            poll_token: Vec::new(),
-            evicted: Vec::new(),
-            poll_period: SimDur::from_secs(1),
-            event_meter: Vec::new(),
-            flow_meta: std::collections::HashMap::new(),
-        }
     }
 
     /// Immutable world access.
@@ -1001,27 +889,16 @@ impl ClusterSim {
     }
 
     /// Both world and scheduler, for app layers that transmit directly.
-    /// Serial driver only.
     pub fn parts(&mut self) -> (&mut ClusterWorld, &mut ClusterSched) {
-        assert!(
-            self.driver.is_none(),
-            "ClusterSim::parts requires the serial driver (threads=1)"
-        );
         (&mut self.world, &mut self.sim)
     }
 
-    /// Schedule an arbitrary action at time `t`. Serial driver only —
-    /// ad-hoc closures cannot be logged and replayed by the parallel
-    /// engine.
+    /// Schedule an arbitrary action at time `t`.
     pub fn at(
         &mut self,
         t: SimTime,
         f: impl FnOnce(&mut ClusterWorld, &mut ClusterSched) + 'static,
     ) {
-        assert!(
-            self.driver.is_none(),
-            "ClusterSim::at requires the serial driver (threads=1)"
-        );
         self.sim.schedule_at(t, f);
     }
 

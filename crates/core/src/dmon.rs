@@ -128,11 +128,14 @@ pub struct DmonStats {
     pending_submit: SimDur,
 }
 
+/// One planned transmission: `(hop, event, payload_bytes)`.
+pub type PlannedSend = (Hop, Event, usize);
+
 /// What one polling iteration wants the glue to do.
 #[derive(Debug)]
 pub struct PollOutcome {
     /// Events to transmit: `(hop, event, payload_bytes)`.
-    pub sends: Vec<(Hop, Event, usize)>,
+    pub sends: Vec<PlannedSend>,
     /// Total CPU time to charge to this host for the iteration (module
     /// collection + policy/filter evaluation + submission handlers +
     /// kernel network path).
@@ -218,8 +221,8 @@ struct FilterMemo {
     /// id-only entries.
     inputs: Vec<MetricRecord>,
     /// Accepted records (a span in the per-poll [`kecho::RecordArena`])
-    /// + executed instructions, or `None` for a VM fault. Storing a span
-    /// instead of an owned vector is what makes fan-out batched: the
+    /// and executed instructions, or `None` for a VM fault. Storing a
+    /// span instead of an owned vector is what makes fan-out batched: the
     /// run's records are materialized once into the arena, and every
     /// subscriber sharing the hit gathers the span into its own pooled
     /// payload buffer — one encode, N enqueues, zero clones.
@@ -414,7 +417,7 @@ pub struct DMon {
     /// Spare `PollOutcome::sends` vector, returned by the glue via
     /// [`DMon::recycle_sends`] after transmitting so the steady-state
     /// poll allocates no fresh send list.
-    send_buf: Vec<(Hop, Event, usize)>,
+    send_buf: Vec<PlannedSend>,
     /// Per-poll filter memo table (cleared at the top of every poll).
     memo: Vec<FilterMemo>,
     /// SoA arena backing the memo entries' record spans, cleared with
@@ -754,20 +757,6 @@ impl DMon {
         self.peers.get(peer.0)?.map(|r| r.last_heard)
     }
 
-    /// Earliest future instant at which a currently-tracked peer could be
-    /// declared `Dead` by a poll: `last_heard + dead_after`, minimized over
-    /// peers not already dead. `None` when no verdict is pending. Used by
-    /// the parallel scheduler to decide whether a time window could contain
-    /// an eviction (a shared-registry mutation).
-    pub fn next_dead_deadline(&self) -> Option<SimTime> {
-        self.peers
-            .iter()
-            .flatten()
-            .filter(|r| r.health != PeerHealth::Dead)
-            .map(|r| r.last_heard + self.dead_after)
-            .min()
-    }
-
     /// This node's incarnation number.
     pub fn epoch(&self) -> u32 {
         self.epoch
@@ -1046,7 +1035,7 @@ impl DMon {
     /// Hand back a drained [`PollOutcome::sends`] vector for reuse. The
     /// glue calls this after transmitting so the steady-state poll path
     /// never allocates a fresh send list.
-    pub fn recycle_sends(&mut self, mut sends: Vec<(Hop, Event, usize)>) {
+    pub fn recycle_sends(&mut self, mut sends: Vec<PlannedSend>) {
         sends.clear();
         self.send_buf = sends;
     }
@@ -1067,7 +1056,7 @@ impl DMon {
         let mut cpu = SimDur::ZERO;
         // Recycled by the glue via `recycle_sends` once transmitted, so
         // the steady state reuses one send list per d-mon.
-        let mut sends: Vec<(Hop, Event, usize)> = std::mem::take(&mut self.send_buf);
+        let mut sends: Vec<PlannedSend> = std::mem::take(&mut self.send_buf);
         sends.clear();
         self.memo.clear();
         self.record_arena.clear();
@@ -2105,9 +2094,8 @@ impl DMon {
         digest_chan: ChannelId,
         rack: u32,
         members: std::ops::Range<usize>,
-        skip: &[NodeId],
         calib: &Calib,
-    ) -> Option<(Vec<(Hop, Event, usize)>, SimDur)> {
+    ) -> Option<(Vec<PlannedSend>, SimDur)> {
         let n_metrics = self.modules.len();
         // (min, max, sum, count, newest_ts) per metric id.
         let mut acc = vec![
@@ -2173,12 +2161,7 @@ impl DMon {
         };
         let mut sends = Vec::new();
         for sub in dir.subscribers(digest_chan) {
-            // `skip` carries peers this same polling step just evicted:
-            // the serial engine has already removed them from the
-            // directory (the skip is a no-op there), while the parallel
-            // mirror defers the directory write to effect replay — the
-            // skip makes both read the same effective subscriber set.
-            if sub == self.node || skip.contains(&sub) {
+            if sub == self.node {
                 continue;
             }
             self.seq += 1;

@@ -47,7 +47,6 @@ pub mod dmon;
 pub mod measure;
 pub mod modules;
 pub mod params;
-pub(crate) mod pcluster;
 
 pub use calib::Calib;
 pub use cluster::{ClusterConfig, ClusterEvent, ClusterSched, ClusterSim, ClusterWorld};

@@ -1,7 +1,7 @@
-//! Seeded violation: ambient entropy on the shard path.
+//! Seeded violation: ambient entropy on the event path.
 //! NOT compiled — parsed by detlint's own tests.
 
-// detlint: shard-entry
+// detlint: event-entry
 fn execute() {
     let jitter = sample();
     apply(jitter);

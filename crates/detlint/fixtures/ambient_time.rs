@@ -1,7 +1,7 @@
-//! Seeded violation: wall-clock read on the shard path.
+//! Seeded violation: wall-clock read on the event path.
 //! NOT compiled — parsed by detlint's own tests.
 
-// detlint: shard-entry
+// detlint: event-entry
 fn execute() {
     step();
 }

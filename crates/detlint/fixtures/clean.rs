@@ -1,4 +1,4 @@
-//! Clean shard-path code: ordered containers, sim time, seeded RNG,
+//! Clean event-path code: ordered containers, sim time, seeded RNG,
 //! and hash maps used only for point lookups.
 //! NOT compiled — parsed by detlint's own tests.
 
@@ -7,7 +7,7 @@ struct Table {
     order: Vec<u32>,
 }
 
-// detlint: shard-entry
+// detlint: event-entry
 fn execute(t: &mut Table, now: SimTime) {
     let mut total = 0.0;
     // Iteration goes through the sorted index, lookups through the map.

@@ -53,7 +53,7 @@ impl Tok {
 pub struct Directive {
     /// Line the comment sits on, 1-based.
     pub line: u32,
-    /// Text after `detlint:`, trimmed (e.g. `shard-entry`,
+    /// Text after `detlint:`, trimmed (e.g. `event-entry`,
     /// `allow(unordered-iter) sorted below`).
     pub text: String,
 }
@@ -305,11 +305,11 @@ real_ident
 
     #[test]
     fn directives_are_collected_with_lines() {
-        let src = "fn a() {}\n// detlint: shard-entry\nfn b() {}\n// detlint: allow(unordered-iter) sorted\n";
+        let src = "fn a() {}\n// detlint: event-entry\nfn b() {}\n// detlint: allow(unordered-iter) sorted\n";
         let (_, ds) = lex(src);
         assert_eq!(ds.len(), 2);
         assert_eq!(ds[0].line, 2);
-        assert_eq!(ds[0].text, "shard-entry");
+        assert_eq!(ds[0].text, "event-entry");
         assert_eq!(ds[1].line, 4);
         assert!(ds[1].text.starts_with("allow(unordered-iter)"));
     }

@@ -1,21 +1,19 @@
 //! detlint — workspace determinism lint for the dproc reproduction.
 //!
-//! The sharded parallel simulator (`crates/core/src/pcluster.rs`)
-//! replays shard windows and requires bit-identical re-execution: the
-//! same events, in the same order, producing the same f64 sums. That
-//! property cannot be checked at runtime for every code path, so this
-//! crate checks it statically, the way the kernel's eBPF verifier
-//! fronts for E-code admission (see `DESIGN.md` §13): a small,
-//! conservative analyzer over a restricted discipline, run as a
-//! blocking CI gate.
+//! Every figure in the reproduction rests on same-seed replay: the
+//! simulator must re-execute the same events, in the same order,
+//! producing the same f64 sums. That property cannot be checked at
+//! runtime for every code path, so this crate checks it statically, the
+//! way the kernel's eBPF verifier fronts for E-code admission (see
+//! `DESIGN.md` §13): a small, conservative analyzer over a restricted
+//! discipline, run as a blocking CI gate.
 //!
 //! The pipeline: [`lexer`] turns each source file into tokens and
 //! `// detlint:` directives; [`model`] extracts functions, impl owners,
-//! a name-based call graph, and which identifiers are unordered maps or
-//! channel `Directory`s; [`rules`] evaluates the replay-safety rules on
-//! everything reachable from `shard-entry` roots; [`baseline`] lets
-//! pre-existing findings be grandfathered without weakening the gate
-//! for new code.
+//! a name-based call graph, and which identifiers are unordered maps;
+//! [`rules`] evaluates the replay-safety rules on everything reachable
+//! from `event-entry` roots; [`baseline`] lets pre-existing findings be
+//! grandfathered without weakening the gate for new code.
 
 pub mod baseline;
 pub mod lexer;
@@ -28,8 +26,8 @@ pub use baseline::Baseline;
 pub use rules::{Finding, Severity};
 
 /// Crate source dirs scanned by default, relative to the workspace
-/// root. `bench` is exempt (it drives the simulator from outside any
-/// shard window); shims (`rand`, `proptest`, …) are test scaffolding.
+/// root. `bench` is exempt (it drives the simulator from outside the
+/// event loop); shims (`rand`, `proptest`, …) are test scaffolding.
 pub const SCAN_DIRS: &[&str] = &[
     "crates/simcore/src",
     "crates/core/src",
@@ -159,18 +157,6 @@ mod tests {
     fn fixture_ambient_rng_fails() {
         let fx = lint_fixture("ambient_rng.rs");
         assert!(fx.iter().any(|f| f.rule == "ambient-rng"), "{fx:#?}");
-    }
-
-    #[test]
-    fn fixture_replay_only_fails() {
-        // The fixture plays the role of a shard-context module, so any
-        // replay-only annotation in it is also misplaced.
-        let fx = lint_fixture("replay_only.rs");
-        assert!(fx.iter().any(|f| f.rule == "replay-only"), "{fx:#?}");
-        assert!(
-            fx.iter().any(|f| f.rule == "misplaced-annotation"),
-            "{fx:#?}"
-        );
     }
 
     #[test]

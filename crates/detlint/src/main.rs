@@ -47,7 +47,7 @@ fn parse_args() -> Result<Opts, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "detlint — replay-safety lint for shard-context code\n\n\
+                    "detlint — replay-safety lint for event-path code\n\n\
                      USAGE: detlint [--check] [--write-baseline] \
                      [--root <dir>] [--baseline <file>]"
                 );

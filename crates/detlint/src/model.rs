@@ -1,7 +1,6 @@
 //! From tokens to a workspace model: functions with bodies, attached
 //! directives, a name-based call graph, and the identifier type facts
-//! the rules need (which names are unordered maps, which are channel
-//! directories).
+//! the rules need (which names are unordered maps).
 //!
 //! Resolution is deliberately name-based and conservative: a method
 //! call `.poll(` links to *every* scanned function named `poll`, and a
@@ -33,12 +32,20 @@ pub struct FnInfo {
     pub line: u32,
     /// Token range of the body (inside the braces, exclusive).
     pub body: (usize, usize),
-    /// Directives attached just above the `fn` (e.g. `shard-entry`,
-    /// `replay-only`).
+    /// Directives attached just above the `fn` (e.g. `event-entry`).
     pub annotations: Vec<String>,
     /// Names this function calls: `name` for plain and method calls,
     /// `Owner::name` additionally for qualified calls.
     pub calls: BTreeSet<String>,
+}
+
+impl FnInfo {
+    /// Whether this function is an `event-entry` reachability root.
+    pub fn is_root(&self) -> bool {
+        self.annotations
+            .iter()
+            .any(|a| a.starts_with("event-entry"))
+    }
 }
 
 /// One scanned file.
@@ -65,8 +72,6 @@ pub struct Workspace {
     pub std_unordered: BTreeSet<String>,
     /// Identifiers declared with an `FxHashMap`/`FxHashSet` type.
     pub fx_unordered: BTreeSet<String>,
-    /// Identifiers declared with the channel-registry `Directory` type.
-    pub directory_names: BTreeSet<String>,
 }
 
 impl Workspace {
@@ -89,37 +94,22 @@ impl Workspace {
         });
     }
 
-    /// Record which identifiers are declared with unordered-map or
-    /// Directory types, across struct fields, lets, and parameters.
+    /// Record which identifiers are declared with unordered-map types,
+    /// across struct fields, lets, and parameters.
     fn collect_type_facts(&mut self, toks: &[Tok]) {
         for i in 0..toks.len() {
-            let Some(tyname) = toks[i].ident() else {
-                continue;
-            };
-            let class = match tyname {
-                "HashMap" | "HashSet" => 0,
-                "FxHashMap" | "FxHashSet" => 1,
-                "Directory" => 2,
+            let set = match toks[i].ident() {
+                Some("HashMap" | "HashSet") => &mut self.std_unordered,
+                Some("FxHashMap" | "FxHashSet") => &mut self.fx_unordered,
                 _ => continue,
             };
-            let Some(name) = declared_name(toks, i) else {
-                continue;
-            };
-            match class {
-                0 => {
-                    self.std_unordered.insert(name);
-                }
-                1 => {
-                    self.fx_unordered.insert(name);
-                }
-                _ => {
-                    self.directory_names.insert(name);
-                }
+            if let Some(name) = declared_name(toks, i) {
+                set.insert(name);
             }
         }
     }
 
-    /// The set of function indices reachable from `shard-entry` roots.
+    /// The set of function indices reachable from `event-entry` roots.
     pub fn reachable_from_roots(&self) -> BTreeSet<usize> {
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, f) in self.fns.iter().enumerate() {
@@ -130,7 +120,7 @@ impl Workspace {
             .fns
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.annotations.iter().any(|a| a.starts_with("shard-entry")))
+            .filter(|(_, f)| f.is_root())
             .map(|(i, _)| i)
             .collect();
         while let Some(i) = queue.pop() {
@@ -156,17 +146,15 @@ impl Workspace {
         seen
     }
 
-    /// True when any function carries a `shard-entry` annotation.
+    /// True when any function carries an `event-entry` annotation.
     pub fn has_roots(&self) -> bool {
-        self.fns
-            .iter()
-            .any(|f| f.annotations.iter().any(|a| a.starts_with("shard-entry")))
+        self.fns.iter().any(FnInfo::is_root)
     }
 }
 
 /// Given the index of a type name (e.g. `HashMap`), walk back to the
 /// identifier it declares: `conns: FxHashMap<..>`, `x = HashMap::new()`,
-/// `dir: &mut Directory`. Returns `None` when the type appears nested in
+/// `seen: &mut HashSet<..>`. Returns `None` when the type appears nested in
 /// a generic position with no direct binder.
 fn declared_name(toks: &[Tok], ty_at: usize) -> Option<String> {
     let mut j = ty_at;
@@ -315,7 +303,7 @@ fn extract_fns(toks: &[Tok], directives: &[Directive], file: usize) -> Vec<FnInf
         i += 1;
     }
     // Attach each non-allow directive to the *nearest* fn below it
-    // (within 5 lines) — not to every fn in range, or a `shard-entry`
+    // (within 5 lines) — not to every fn in range, or an `event-entry`
     // comment would leak onto unrelated neighbors.
     for d in directives {
         if d.text.starts_with("allow(") {
@@ -334,8 +322,8 @@ fn extract_fns(toks: &[Tok], directives: &[Directive], file: usize) -> Vec<FnInf
 
 /// From an `impl` keyword, find the owner type name and the opening
 /// brace of the impl block. The owner is the last plain identifier in
-/// the header outside angle brackets (`impl ShardWorld for PShard` →
-/// `PShard`; `impl<T> Table<T>` → `Table`).
+/// the header outside angle brackets (`impl HandleMsg<E> for World` →
+/// `World`; `impl<T> Table<T>` → `Table`).
 fn impl_header(toks: &[Tok], impl_at: usize) -> Option<(String, usize)> {
     let mut angle = 0i32;
     let mut owner: Option<&str> = None;
@@ -429,11 +417,11 @@ mod tests {
     #[test]
     fn fn_extraction_with_owner_and_annotations() {
         let w = ws(r"
-struct PShard;
-trait ShardWorld { fn execute(&mut self); }
-impl ShardWorld for PShard {
-    // detlint: shard-entry
-    fn execute(&mut self) { self.poll_all(); helper(); }
+struct World;
+trait HandleMsg<E> { fn handle(&mut self, msg: E); }
+impl HandleMsg<Event> for World {
+    // detlint: event-entry
+    fn handle(&mut self, msg: Event) { self.poll_all(); helper(); }
 }
 fn helper() {}
 ");
@@ -442,10 +430,10 @@ fn helper() {}
             .iter()
             .map(|f| (f.name.as_str(), f.owner.as_deref()))
             .collect();
-        assert!(names.contains(&("execute", Some("PShard"))));
+        assert!(names.contains(&("handle", Some("World"))));
         assert!(names.contains(&("helper", None)));
         let exec = w.fns.iter().find(|f| f.owner.is_some()).unwrap();
-        assert_eq!(exec.annotations, vec!["shard-entry"]);
+        assert_eq!(exec.annotations, vec!["event-entry"]);
         assert!(exec.calls.contains("poll_all"));
         assert!(exec.calls.contains("helper"));
     }
@@ -454,7 +442,7 @@ fn helper() {}
     fn type_facts_from_fields_lets_and_params() {
         let w = ws(r"
 struct S { conns: FxHashMap<u32, u32>, names: std::collections::HashMap<String, u32> }
-fn f(dir: &mut Directory) {
+fn f(seen: &mut HashSet<u32>) {
     let mut cache = HashMap::new();
     let ordered: BTreeMap<u32, u32> = BTreeMap::new();
 }
@@ -462,14 +450,14 @@ fn f(dir: &mut Directory) {
         assert!(w.fx_unordered.contains("conns"));
         assert!(w.std_unordered.contains("names"));
         assert!(w.std_unordered.contains("cache"));
-        assert!(w.directory_names.contains("dir"));
+        assert!(w.std_unordered.contains("seen"));
         assert!(!w.std_unordered.contains("ordered"));
     }
 
     #[test]
     fn reachability_follows_calls_and_owners() {
         let w = ws(r"
-// detlint: shard-entry
+// detlint: event-entry
 fn root() { step_one(); }
 fn step_one() { Helper::deep(); }
 struct Helper;

@@ -1,11 +1,12 @@
 //! The replay-safety rules.
 //!
 //! Every rule is a token-shape pattern evaluated inside function bodies
-//! that are *reachable from shard-window context* — functions annotated
-//! `// detlint: shard-entry` and everything they transitively call.
-//! Code off that path (setup, CLI, reporting) may use wall clocks and
-//! hash-order iteration freely; code on it may not, because the sharded
-//! simulation replays shard windows and demands bit-identical results.
+//! that are *reachable from the simulator's event entries* — functions
+//! annotated `// detlint: event-entry` (the typed-event dispatcher and
+//! the fault-plan handler) and everything they transitively call. Code
+//! off that path (setup, CLI, reporting) may use wall clocks and
+//! hash-order iteration freely; code on it may not, because a same-seed
+//! run must replay bit-identically.
 //!
 //! Rules:
 //! - `unordered-iter`: iterating a `HashMap`/`HashSet` (std: Error) or
@@ -15,13 +16,7 @@
 //!   clock; replay must use `SimTime` from the scheduler.
 //! - `ambient-rng`: `thread_rng`/`OsRng`/`from_entropy`/`rand::random`
 //!   draw from ambient entropy; replay must use seeded RNGs.
-//! - `replay-only`: mutating a channel `Directory` (subscribe /
-//!   unsubscribe / open) from shard context; directory mutation belongs
-//!   to the coordinator's replay step. Suppressed by a
-//!   `// detlint: replay-only` annotation on the enclosing function —
-//!   but that annotation is itself checked: outside coordinator modules
-//!   it raises `misplaced-annotation`.
-//! - `no-roots`: the scan found no `shard-entry` annotation at all, so
+//! - `no-roots`: the scan found no `event-entry` annotation at all, so
 //!   reachability would be vacuous; the roots were deleted or renamed.
 //!
 //! `// detlint: allow(<rule>) <reason>` on one of the five lines above a
@@ -100,16 +95,11 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// Directory mutators that reshape the channel registry.
-const DIR_MUTATORS: &[&str] = &["subscribe", "unsubscribe", "open"];
-
 /// How far above a finding an `allow(...)` directive still applies,
 /// in lines. Five covers a comment block plus attributes.
 const ALLOW_RANGE: u32 = 5;
 
-/// Run every rule over the workspace. `coordinator_files` are path
-/// substrings (e.g. `cluster.rs`) where `replay-only` annotations are
-/// legitimate; `pcluster.rs` is special-cased to the `PCoord` owner.
+/// Run every rule over the workspace.
 pub fn run(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
 
@@ -124,7 +114,7 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
             line: 1,
             col: 1,
             function: "<module>".to_string(),
-            message: "no `// detlint: shard-entry` root found; replay-safety \
+            message: "no `// detlint: event-entry` root found; replay-safety \
                       reachability is vacuous"
                 .to_string(),
             snippet: String::new(),
@@ -134,38 +124,13 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
 
     let reachable = ws.reachable_from_roots();
 
-    for (fi, f) in ws.fns.iter().enumerate() {
+    for &fi in &reachable {
+        let f = &ws.fns[fi];
         let file = &ws.files[f.file];
-        let replay_only = f.annotations.iter().any(|a| a.starts_with("replay-only"));
-
-        // misplaced-annotation applies regardless of reachability: a
-        // replay-only escape hatch in the wrong module is always wrong.
-        if replay_only && !is_coordinator_fn(&file.path, f) {
-            findings.push(Finding {
-                rule: "misplaced-annotation",
-                severity: Severity::Error,
-                file: file.path.clone(),
-                line: f.line,
-                col: 1,
-                function: f.name.clone(),
-                message: "`replay-only` annotation outside a coordinator module; \
-                          only the coordinator replay step may mutate directories"
-                    .to_string(),
-                snippet: snippet_at(file, f.line),
-            });
-        }
-
-        if !reachable.contains(&fi) {
-            continue;
-        }
-
         let toks = &file.tokens[f.body.0..f.body.1.min(file.tokens.len())];
         scan_unordered_iter(ws, file, f, toks, &mut findings);
         scan_ambient_time(file, f, toks, &mut findings);
         scan_ambient_rng(file, f, toks, &mut findings);
-        if !replay_only {
-            scan_directory_mutation(ws, file, f, toks, &mut findings);
-        }
     }
 
     // Apply allow() suppressions, then sort for stable output.
@@ -173,18 +138,6 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     findings
-}
-
-/// Is `f` a place where `replay-only` is legitimate? The coordinator
-/// lives in `cluster.rs` (whole file) and in `pcluster.rs` but only on
-/// `PCoord` — the shard half of that file runs inside windows.
-fn is_coordinator_fn(path: &str, f: &FnInfo) -> bool {
-    let base = path.rsplit('/').next().unwrap_or(path);
-    match base {
-        "cluster.rs" => true,
-        "pcluster.rs" => f.owner.as_deref() == Some("PCoord"),
-        _ => false,
-    }
 }
 
 /// The trimmed source line at `line` (1-based).
@@ -272,7 +225,7 @@ fn scan_unordered_iter(
                 &toks[i],
                 format!(
                     "`{recv}.{method}()` iterates a {ty} in hasher order; \
-                     replayed shard windows demand a deterministic order \
+                     same-seed replay demands a deterministic order \
                      (sort first, or keep a sorted index)"
                 ),
             );
@@ -318,7 +271,7 @@ fn scan_unordered_iter(
                     &toks[at],
                     format!(
                         "`for … in {name}` iterates a {ty} in hasher order; \
-                         replayed shard windows demand a deterministic order"
+                         same-seed replay demands a deterministic order"
                     ),
                 );
             }
@@ -354,7 +307,7 @@ fn scan_ambient_time(
                 f,
                 &toks[i],
                 format!(
-                    "`{id}` reads the wall clock; shard-context code must use \
+                    "`{id}` reads the wall clock; event-path code must use \
                      the scheduler's SimTime so replay is bit-identical"
                 ),
             );
@@ -391,52 +344,8 @@ fn scan_ambient_rng(
                 f,
                 &toks[i],
                 format!(
-                    "`{id}` draws ambient entropy; shard-context code must use \
+                    "`{id}` draws ambient entropy; event-path code must use \
                      a seeded RNG owned by the deterministic scheduler"
-                ),
-            );
-        }
-    }
-}
-
-/// `dir.subscribe(…)` etc. where `dir` is a `Directory`, outside
-/// functions annotated `replay-only`.
-fn scan_directory_mutation(
-    ws: &Workspace,
-    file: &crate::model::FileModel,
-    f: &FnInfo,
-    toks: &[Tok],
-    findings: &mut Vec<Finding>,
-) {
-    for i in 0..toks.len() {
-        let Some(method) = toks[i].ident() else {
-            continue;
-        };
-        if !DIR_MUTATORS.contains(&method) {
-            continue;
-        }
-        if !(i >= 2
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).map(|t| t.is_punct('(')) == Some(true))
-        {
-            continue;
-        }
-        let Some(recv) = toks[i - 2].ident() else {
-            continue;
-        };
-        if ws.directory_names.contains(recv) {
-            push(
-                findings,
-                "replay-only",
-                Severity::Error,
-                file,
-                f,
-                &toks[i],
-                format!(
-                    "`{recv}.{method}()` mutates a channel Directory from shard \
-                     context; directory mutation belongs to the coordinator \
-                     replay step (annotate the fn `// detlint: replay-only` \
-                     if it IS that step)"
                 ),
             );
         }
@@ -454,7 +363,7 @@ mod tests {
         run(&ws)
     }
 
-    const ROOT: &str = "// detlint: shard-entry\n";
+    const ROOT: &str = "// detlint: event-entry\n";
 
     #[test]
     fn no_roots_is_itself_a_finding() {
@@ -522,46 +431,25 @@ mod tests {
     }
 
     #[test]
-    fn directory_mutation_needs_replay_only() {
-        let src = format!("{ROOT}fn f(dir: &mut Directory) {{ dir.subscribe(1, 2); }}");
-        let fx = lint("shard.rs", &src);
+    fn hash_order_loop_behind_the_event_dispatcher_is_caught() {
+        // The real root's shape: a trait-impl dispatcher annotated as an
+        // event entry, reaching a helper that folds a std map in hasher
+        // order.
+        let src = "struct World { peers: HashMap<u32, f64> }\n\
+             impl HandleMsg<Event> for World {\n\
+             // detlint: event-entry\n\
+             fn handle(&mut self, sim: &mut Sched, msg: Event) { self.poll_node(sim); }\n\
+             }\n\
+             impl World {\n\
+             fn poll_node(&mut self, sim: &mut Sched) { \
+             for (_k, v) in self.peers.iter() { sim.total += v; } }\n\
+             fn report(&self) { for (_k, _v) in self.peers.iter() {} }\n\
+             }";
+        let fx = lint("cluster.rs", src);
         assert_eq!(fx.len(), 1, "{fx:#?}");
-        assert_eq!(fx[0].rule, "replay-only");
-    }
-
-    #[test]
-    fn replay_only_annotation_suppresses_in_coordinator() {
-        let src = format!(
-            "{ROOT}fn f() {{ apply(); }}\n\
-             // detlint: replay-only\n\
-             fn apply() {{ let dir: Directory = Directory::new(); dir.subscribe(1, 2); }}"
-        );
-        assert!(lint("cluster.rs", &src).is_empty());
-    }
-
-    #[test]
-    fn replay_only_outside_coordinator_is_misplaced() {
-        let src = format!(
-            "{ROOT}fn f() {{}}\n// detlint: replay-only\nfn sneaky(dir: &mut Directory) {{ dir.open(1); }}"
-        );
-        let fx = lint("dmon.rs", &src);
-        assert_eq!(fx.len(), 1, "{fx:#?}");
-        assert_eq!(fx[0].rule, "misplaced-annotation");
-    }
-
-    #[test]
-    fn pcoord_owner_is_coordinator_in_pcluster() {
-        let src = format!(
-            "{ROOT}fn f() {{ PCoord::apply(); }}\n\
-             struct PCoord;\nimpl PCoord {{\n// detlint: replay-only\n\
-             fn apply(dir: &mut Directory) {{ dir.subscribe(1, 2); }}\n}}\n\
-             struct PShard;\nimpl PShard {{\n// detlint: replay-only\n\
-             fn bad(dir: &mut Directory) {{ dir.subscribe(1, 2); }}\n}}"
-        );
-        let fx = lint("pcluster.rs", &src);
-        assert_eq!(fx.len(), 1, "{fx:#?}");
-        assert_eq!(fx[0].rule, "misplaced-annotation");
-        assert_eq!(fx[0].function, "bad");
+        assert_eq!(fx[0].rule, "unordered-iter");
+        assert_eq!(fx[0].severity, Severity::Error);
+        assert_eq!(fx[0].function, "poll_node");
     }
 
     #[test]

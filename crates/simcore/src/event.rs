@@ -104,8 +104,8 @@ struct Entry<T> {
 }
 
 /// The hierarchical timer wheel, generic over the event payload `T` —
-/// boxed closures for [`Sim`], plain event values for the sharded parallel
-/// scheduler in [`crate::pdes`] (each shard owns one wheel).
+/// boxed closures for [`Sim`]'s closure lane, plain message values for its
+/// typed lane.
 ///
 /// Invariants (checked by debug asserts, relied on by `pop_min_if`):
 /// - every pending entry satisfies `at >= cur`;
@@ -164,11 +164,6 @@ impl<T> Wheel<T> {
         self.len += 1;
     }
 
-    /// Exact number of pending entries.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
     /// The earliest pending `(at, seq)` key without popping or advancing
     /// the cursor. The lowest occupied level's earliest slot is guaranteed
     /// to hold the global minimum: entries at level `l >= 1` store a digit
@@ -193,32 +188,6 @@ impl<T> Wheel<T> {
             return Some(best);
         }
         self.overflow.first_key_value().map(|(&k, _)| k)
-    }
-
-    /// Replace the sequence key of the pending entry `(at, old_seq)` with
-    /// `new_seq`, keeping it in place (slot addressing depends only on
-    /// `at`). Returns `false` if the entry already fired. Used by the
-    /// parallel scheduler to promote provisional in-window keys to exact
-    /// serial sequence numbers at window replay.
-    pub(crate) fn rekey(&mut self, at: u64, old_seq: u64, new_seq: u64) -> bool {
-        if at < self.cur {
-            return false;
-        }
-        let l = level_of(self.cur, at);
-        if l >= LEVELS {
-            if let Some(f) = self.overflow.remove(&(at, old_seq)) {
-                self.overflow.insert((at, new_seq), f);
-                return true;
-            }
-            return false;
-        }
-        let idx = ((at >> (LEVEL_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-        let slot = &mut self.slots[l * SLOTS + idx];
-        if let Some(e) = slot.iter_mut().find(|e| e.seq == old_seq && e.at == at) {
-            e.seq = new_seq;
-            return true;
-        }
-        false
     }
 
     /// Remove the entry `(at, seq)` in place. Returns `false` if it already
@@ -733,25 +702,6 @@ mod tests {
         assert_eq!(w.next_key(), Some((horizon + 9, 4)));
     }
 
-    #[test]
-    fn wheel_rekey_changes_pop_order() {
-        let mut w: Wheel<&'static str> = Wheel::new();
-        w.insert(100, 50, "late");
-        w.insert(100, 9, "early");
-        assert!(w.rekey(100, 50, 2), "pending entry rekeys");
-        assert!(!w.rekey(100, 50, 3), "old key is gone");
-        let horizon = 1u64 << 48;
-        w.insert(horizon + 1, 70, "far");
-        assert!(w.rekey(horizon + 1, 70, 1), "overflow entry rekeys");
-        assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), Some("late"));
-        assert_eq!(w.pop_min_if(u64::MAX).map(|e| e.2), Some("early"));
-        assert_eq!(
-            w.pop_min_if(u64::MAX).map(|(a, s, v)| (a, s, v)).unwrap().1,
-            1
-        );
-        assert!(!w.rekey(100, 9, 5), "fired entry reports false");
-    }
-
     #[derive(Debug, PartialEq, Eq)]
     enum Msg {
         Ping(u32),
@@ -834,7 +784,7 @@ mod tests {
             got.push(v);
         }
         assert_eq!(got, expect);
-        assert_eq!(w.len(), 0);
+        assert_eq!(w.len, 0);
     }
 
     #[test]

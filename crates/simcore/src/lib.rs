@@ -16,10 +16,7 @@
 //!   figure-regeneration harness,
 //! * [`ratelimit`] — a token bucket used by the network model,
 //! * [`parallel`] — a scoped-thread replica runner used by parameter
-//!   sweeps,
-//! * [`pdes`] — a sharded conservative-window parallel scheduler whose
-//!   event order (and therefore every derived observable) is bit-identical
-//!   to the serial [`Sim`] run.
+//!   sweeps.
 //!
 //! # Determinism
 //!
@@ -48,7 +45,6 @@ pub mod event;
 pub mod fastfmt;
 pub mod fxhash;
 pub mod parallel;
-pub mod pdes;
 pub mod ratelimit;
 pub mod rng;
 pub mod series;

@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use simcore::{SimRng, SimTime};
 
-use crate::link::DirLink;
 use crate::network::{Network, NodeId};
 
 /// One scheduled fault directive.
@@ -236,25 +235,6 @@ impl FaultState {
     /// Apply one network-level action. `Crash`/`Revive` are node-lifecycle
     /// actions the cluster glue owns; passing one here is a no-op.
     pub fn apply(&mut self, net: &mut Network, action: &FaultAction) {
-        let links = match *action {
-            FaultAction::Degrade(node, _) | FaultAction::HealLink(node) => {
-                Some(net.links_mut(node))
-            }
-            _ => None,
-        };
-        self.apply_links(action, links);
-    }
-
-    /// Same transition as [`FaultState::apply`] for a network whose links
-    /// have been split out for sharded execution (see
-    /// `Network::split_links`): when the action targets a node's links
-    /// (`Degrade`/`HealLink`), the caller passes that node's
-    /// `(uplink, downlink)` pair; other actions ignore `links`.
-    pub fn apply_links(
-        &mut self,
-        action: &FaultAction,
-        links: Option<(&mut DirLink, &mut DirLink)>,
-    ) {
         match *action {
             FaultAction::Partition(a, b) => {
                 if a != b {
@@ -268,7 +248,7 @@ impl FaultState {
                 self.loss = p.clamp(0.0, 1.0);
             }
             FaultAction::Degrade(node, fraction) => {
-                let (up, down) = links.expect("degrade needs the node's links");
+                let (up, down) = net.links_mut(node);
                 // Replace any previous degradation rather than stacking.
                 if let Some(bps) = self.degraded.remove(&node.0) {
                     up.remove_background(bps);
@@ -281,7 +261,7 @@ impl FaultState {
             }
             FaultAction::HealLink(node) => {
                 if let Some(bps) = self.degraded.remove(&node.0) {
-                    let (up, down) = links.expect("heal-link needs the node's links");
+                    let (up, down) = net.links_mut(node);
                     up.remove_background(bps);
                     down.remove_background(bps);
                 }

@@ -62,18 +62,6 @@ impl LinkSpec {
     pub fn tx_time(&self, bytes: usize) -> SimDur {
         SimDur::from_secs_f64(self.wire_bytes(bytes) as f64 * 8.0 / self.bandwidth_bps)
     }
-
-    /// Conservative lookahead for parallel simulation: a message sent at
-    /// `t` cannot be delivered before `t + lookahead()`. The send path
-    /// charges at least two propagation latencies plus two first-packet
-    /// serializations; the serializations only get *longer* under load or
-    /// degradation (effective bandwidth never exceeds the nominal rate),
-    /// and the empty-payload wire size (`per_packet_overhead` bytes) lower
-    /// bounds every first packet. Loopback bypasses the wire but also
-    /// never crosses a shard boundary.
-    pub fn lookahead(&self) -> SimDur {
-        (self.latency + self.tx_time(0)).mul_f64(2.0)
-    }
 }
 
 /// Sliding-window byte accounting, used to estimate recent utilization.

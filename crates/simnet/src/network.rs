@@ -75,31 +75,6 @@ struct NodeLinks {
     down: DirLink,
 }
 
-/// A [`Network`] disassembled into shard-distributable pieces; produced by
-/// [`Network::split_links`] and consumed by [`Network::from_split`].
-pub struct SplitNet {
-    /// Link parameters (identical for every node-link direction).
-    pub spec: LinkSpec,
-    /// `ups[i]` is node `i`'s uplink.
-    pub ups: Vec<DirLink>,
-    /// `downs[i]` is node `i`'s downlink.
-    pub downs: Vec<DirLink>,
-    /// Node → rack map (all zeros for the star).
-    pub rack_of: Vec<usize>,
-    /// Rack-switch → spine links, one per rack (empty for the star).
-    /// Owned by the coordinator together with the downlinks: inter-switch
-    /// reservations happen in serial delivery order.
-    pub switch_ups: Vec<DirLink>,
-    /// Spine → rack-switch links, one per rack (empty for the star).
-    pub switch_downs: Vec<DirLink>,
-    /// Inter-switch link parameters.
-    pub switch_spec: LinkSpec,
-    /// Lifetime delivery counter.
-    pub deliveries: u64,
-    /// Lifetime payload-byte counter.
-    pub payload_bytes: u64,
-}
-
 /// One hop of a store-and-forward path through the fabric.
 #[derive(Debug, Clone, Copy)]
 enum PathLink {
@@ -198,57 +173,6 @@ impl Network {
     /// Link parameters.
     pub fn spec(&self) -> &LinkSpec {
         &self.spec
-    }
-
-    /// Conservative parallel-simulation lookahead of this network (see
-    /// [`LinkSpec::lookahead`]): the minimum interval between sending a
-    /// message and its earliest possible delivery on another node.
-    pub fn lookahead(&self) -> SimDur {
-        self.spec.lookahead()
-    }
-
-    /// Tear the network apart for sharded parallel execution: per-node
-    /// uplinks (owned by the sender's shard) and downlinks (owned by the
-    /// coordinator, reserved in serial delivery order), plus the lifetime
-    /// counters. [`Network::from_split`] reassembles an identical network.
-    pub fn split_links(self) -> SplitNet {
-        let mut ups = Vec::with_capacity(self.nodes.len());
-        let mut downs = Vec::with_capacity(self.nodes.len());
-        for n in self.nodes {
-            ups.push(n.up);
-            downs.push(n.down);
-        }
-        SplitNet {
-            spec: self.spec,
-            ups,
-            downs,
-            rack_of: self.rack_of,
-            switch_ups: self.switch_ups,
-            switch_downs: self.switch_downs,
-            switch_spec: self.switch_spec,
-            deliveries: self.deliveries,
-            payload_bytes: self.payload_bytes,
-        }
-    }
-
-    /// Rebuild a network from its split-out parts.
-    pub fn from_split(parts: SplitNet) -> Self {
-        assert_eq!(parts.ups.len(), parts.downs.len(), "mismatched link sets");
-        Network {
-            spec: parts.spec,
-            nodes: parts
-                .ups
-                .into_iter()
-                .zip(parts.downs)
-                .map(|(up, down)| NodeLinks { up, down })
-                .collect(),
-            rack_of: parts.rack_of,
-            switch_ups: parts.switch_ups,
-            switch_downs: parts.switch_downs,
-            switch_spec: parts.switch_spec,
-            deliveries: parts.deliveries,
-            payload_bytes: parts.payload_bytes,
-        }
     }
 
     fn check(&self, id: NodeId) {

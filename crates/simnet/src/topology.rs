@@ -103,7 +103,7 @@ impl Placement {
         let mut start = 0;
         for (k, len) in sizes.into_iter().enumerate() {
             racks.push(Rack { start, len });
-            rack_of.extend(std::iter::repeat(k).take(len));
+            rack_of.extend(std::iter::repeat_n(k, len));
             start += len;
         }
         Placement { racks, rack_of }
@@ -147,7 +147,7 @@ impl Placement {
 
     /// The rack's aggregator/relay node: its first member. Deterministic
     /// and derivable from the placement alone, so every layer (directory,
-    /// cluster glue, shards) agrees without coordination.
+    /// cluster glue) agrees without coordination.
     pub fn aggregator(&self, rack: usize) -> NodeId {
         NodeId(self.racks[rack].start)
     }

@@ -1,10 +1,9 @@
-//! Differential testing of the sharded parallel driver against the serial
-//! scheduler: every scenario must produce *bit-identical* final state —
-//! the full `/proc` forest on every host, the d-mon counters, the latency
-//! samplers (compared as raw f64 bits), the network and fault counters.
-//!
-//! The parallel engine's whole determinism argument (window replay with
-//! serial renumbering, see `simcore::pdes`) is only as good as this file.
+//! Same-seed replay across the whole feature surface: every scenario runs
+//! twice in one process and both runs must produce *bit-identical* final
+//! state — the full `/proc` forest on every host, the d-mon counters, the
+//! latency samplers (compared as raw f64 bits), the network and fault
+//! counters. Any hash-order iteration, wall-clock read, or ambient RNG
+//! draw that leaks into simulation state shows up here as a diff.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
 use kecho::Topology;
@@ -48,50 +47,43 @@ fn fingerprint(sim: &ClusterSim) -> Fingerprint {
     }
 }
 
-/// Build + start a sim on `threads` shards, apply the scenario's setup,
-/// run it, and fingerprint the result.
+/// Build + start a sim, apply the scenario's setup, run it, and
+/// fingerprint the result.
 fn run_one(
     cfg: impl Fn() -> ClusterConfig,
     setup: impl Fn(&mut ClusterSim),
     secs: u64,
-    threads: usize,
 ) -> Fingerprint {
     let mut sim = ClusterSim::new(cfg());
-    sim.set_threads(threads);
     sim.start();
     setup(&mut sim);
     sim.run_until(SimTime::from_secs(secs));
     fingerprint(&sim)
 }
 
-/// Assert the scenario is bit-identical across the serial driver and every
-/// requested thread count.
-fn assert_differential(
+/// Assert the scenario replays bit-identically.
+fn assert_replays(
     name: &str,
     secs: u64,
     cfg: impl Fn() -> ClusterConfig,
     setup: impl Fn(&mut ClusterSim),
 ) {
-    let serial = run_one(&cfg, &setup, secs, 1);
-    assert!(serial.mon_delivered > 0, "{name}: serial run did nothing");
-    for threads in [2, 3, 8] {
-        let par = run_one(&cfg, &setup, secs, threads);
-        assert_eq!(
-            serial, par,
-            "{name}: threads={threads} diverged from serial"
-        );
-    }
+    let first = run_one(&cfg, &setup, secs);
+    assert!(first.mon_delivered > 0, "{name}: the run did nothing");
+    let second = run_one(&cfg, &setup, secs);
+    assert_eq!(first, second, "{name}: replay diverged");
 }
 
 #[test]
 fn default_cluster_is_bit_identical() {
-    assert_differential("default", 12, || ClusterConfig::new(4), |_| {});
+    assert_replays("default", 12, || ClusterConfig::new(4), |_| {});
 }
 
 #[test]
 fn microsecond_stagger_is_bit_identical() {
-    // The parallel-friendly configuration: all polls land in one window.
-    assert_differential(
+    // Phase-locked polls: every node samples and sends at almost the same
+    // instant, so same-time ties are broken by sequence number alone.
+    assert_replays(
         "tiny-stagger",
         12,
         || ClusterConfig::new(6).stagger(SimDur::from_micros(1)),
@@ -103,7 +95,7 @@ fn microsecond_stagger_is_bit_identical() {
 fn central_topology_is_bit_identical() {
     // Hub relays exercise the transit path (original send timestamps,
     // relay CPU charges, fan-out on the monitoring channel).
-    assert_differential(
+    assert_replays(
         "central",
         12,
         || ClusterConfig::new(5).topology(Topology::Central(NodeId(0))),
@@ -115,7 +107,7 @@ fn central_topology_is_bit_identical() {
 fn workloads_are_bit_identical() {
     // Linpack steals CPU from the service thread; Iperf floods perturb
     // link reservations; both change every delivery time.
-    assert_differential(
+    assert_replays(
         "workloads",
         12,
         || ClusterConfig::new(4).host_cfg(2, HostConfig::uniprocessor()),
@@ -130,7 +122,7 @@ fn workloads_are_bit_identical() {
 fn event_pad_and_control_are_bit_identical() {
     // Padded events change wire sizes; a control write triggers the
     // control round-trip (request, handler, reply).
-    assert_differential(
+    assert_replays(
         "control",
         12,
         || ClusterConfig::new(4).event_pad(512),
@@ -144,9 +136,9 @@ fn event_pad_and_control_are_bit_identical() {
 #[test]
 fn fault_plan_is_bit_identical() {
     // Crash + revive runs the node lifecycle (eviction, rejoin, epoch
-    // bumps); partition and loss force serial windows with RNG draws in
-    // delivery order; degrade rewrites link capacities mid-run.
-    assert_differential(
+    // bumps); partition and loss draw from the fault RNG in delivery
+    // order; degrade rewrites link capacities mid-run.
+    assert_replays(
         "faults",
         14,
         || ClusterConfig::new(5).failure_bounds(SimDur::from_secs(2), SimDur::from_secs(4)),
@@ -170,9 +162,7 @@ fn overload_backpressure_is_bit_identical() {
     // Saturated links run the whole robustness stack at once — bounded
     // queue admission with deterministic tail-drop, credit stalls, outbox
     // shedding, choke backoff, ladder transitions, gap healing — and all
-    // of it must replay identically under sharded execution (the wire
-    // drops happen inside `transmit` on the serial path but inside the
-    // shard exchange on the parallel one).
+    // of it must replay identically.
     let cfg = || {
         let mut cfg = ClusterConfig::new(3)
             .poll_period(SimDur::from_secs(1))
@@ -185,10 +175,9 @@ fn overload_backpressure_is_bit_identical() {
         .degrade_at(SimTime::from_secs(5), NodeId(2), 0.9)
         .heal_link_at(SimTime::from_secs(45), NodeId(2));
 
-    // Vacuity guard on the serial run: the scenario must actually drop
-    // frames and walk the ladder, or the differential proves nothing.
+    // Vacuity guard: the scenario must actually drop frames and walk the
+    // ladder, or the replay proves nothing.
     let mut probe = ClusterSim::new(cfg());
-    probe.set_threads(1);
     probe.start();
     probe.apply_fault_plan(&plan);
     probe.run_until(SimTime::from_secs(60));
@@ -204,12 +193,9 @@ fn overload_backpressure_is_bit_identical() {
             .any(|d| d.stats.ladder_transitions > 0),
         "overload scenario never moved the ladder — vacuous"
     );
-    let serial = fingerprint(&probe);
-
-    for threads in [2, 3, 8] {
-        let par = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 60, threads);
-        assert_eq!(serial, par, "overload: threads={threads} diverged");
-    }
+    let first = fingerprint(&probe);
+    let second = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 60);
+    assert_eq!(first, second, "overload: replay diverged");
 }
 
 #[test]
@@ -218,9 +204,9 @@ fn compiled_filters_are_bit_identical() {
     // register compiler specializes into closures (one `Shared`-memo,
     // one `SnapshotKeyed`) plus one impure shape that bypasses the memo
     // per subscriber. Compiled execution, memo sharing, and the batched
-    // span gather must all replay bit-identically under sharded
-    // execution — the dmon counters inside the fingerprint compare the
-    // compile/fallback/bypass split too.
+    // span gather must all replay bit-identically — the dmon counters
+    // inside the fingerprint compare the compile/fallback/bypass split
+    // too.
     const SHARED: &str = "{ if (input[LOADAVG].value > 0.25) { output[0] = input[LOADAVG]; } }";
     const SNAP: &str = "{ output[0] = input[FREEMEM]; }";
     const IMPURE: &str =
@@ -251,11 +237,10 @@ fn compiled_filters_are_bit_identical() {
         }
     };
 
-    // Vacuity guards on the serial run: every deploy must have landed on
-    // the register compiler, and the impure shape must actually exercise
-    // the per-subscriber bypass path.
+    // Vacuity guards: every deploy must have landed on the register
+    // compiler, and the impure shape must actually exercise the
+    // per-subscriber bypass path.
     let mut probe = ClusterSim::new(cfg());
-    probe.set_threads(1);
     probe.start();
     setup(&mut probe);
     probe.run_until(SimTime::from_secs(12));
@@ -270,12 +255,9 @@ fn compiled_filters_are_bit_identical() {
         w.mon_delivered > 0,
         "filters suppressed everything — vacuous"
     );
-    let serial = fingerprint(&probe);
-
-    for threads in [2, 3, 8] {
-        let par = run_one(cfg, setup, 12, threads);
-        assert_eq!(serial, par, "compiled filters: threads={threads} diverged");
-    }
+    let first = fingerprint(&probe);
+    let second = run_one(cfg, setup, 12);
+    assert_eq!(first, second, "compiled filters: replay diverged");
 }
 
 #[test]
@@ -286,7 +268,7 @@ fn hierarchical_racks_are_bit_identical() {
     // digest channel), a partition between two other racks' aggregators
     // destroys digests on the wire, and the revival restores exactly the
     // placement's channel set. Every piece — cross-rack 4-hop wire math,
-    // digest folds, rack-whole sharding — must replay bit-identically.
+    // digest folds, eviction and rejoin — must replay bit-identically.
     let cfg = || {
         ClusterConfig::new(9)
             .racks(3)
@@ -298,9 +280,8 @@ fn hierarchical_racks_are_bit_identical() {
         .heal_at(SimTime::from_secs(6), NodeId(0), NodeId(6))
         .revive_at(SimTime::from_secs(8), NodeId(3));
 
-    // Vacuity guards on the serial run: the aggregation tier must be live.
+    // Vacuity guards: the aggregation tier must be live.
     let mut probe = ClusterSim::new(cfg());
-    probe.set_threads(1);
     probe.start();
     probe.apply_fault_plan(&plan);
     probe.run_until(SimTime::from_secs(14));
@@ -310,77 +291,25 @@ fn hierarchical_racks_are_bit_identical() {
     assert!(sent > 0, "no digests sent — vacuous");
     assert!(recv > 0, "no digests received — vacuous");
     assert!(recv < sent, "the partition destroyed no digests — vacuous");
-    let serial = fingerprint(&probe);
-
-    for threads in [2, 4, 8] {
-        let par = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 14, threads);
-        assert_eq!(serial, par, "hierarchical: threads={threads} diverged");
-    }
-}
-
-#[test]
-fn hierarchical_windows_run_parallel() {
-    // Rack-whole shard assignment must still let fault-free hierarchical
-    // runs spend most of their time in parallel windows.
-    let mut sim = ClusterSim::new(
-        ClusterConfig::new(8)
-            .racks(4)
-            .stagger(SimDur::from_micros(1)),
-    );
-    sim.set_threads(2);
-    sim.start();
-    sim.run_until(SimTime::from_secs(12));
-    let stats = sim.parallel_stats().expect("parallel driver");
-    assert!(
-        stats.windows_parallel > stats.windows_serial,
-        "parallel windows should dominate a fault-free hierarchical run: {stats:?}"
-    );
-    let recv: u64 = sim
-        .world()
-        .dmons
-        .iter()
-        .map(|d| d.stats.digests_received)
-        .sum();
-    assert!(recv > 0, "no digests crossed the spine");
-}
-
-#[test]
-fn parallel_windows_actually_run() {
-    // Guard against the suite passing vacuously with every window falling
-    // back to the serial path.
-    let mut sim = ClusterSim::new(ClusterConfig::new(6).stagger(SimDur::from_micros(1)));
-    sim.set_threads(4);
-    assert_eq!(sim.threads(), 4);
-    assert_eq!(sim.shards(), 4);
-    sim.start();
-    sim.run_until(SimTime::from_secs(12));
-    let stats = sim.parallel_stats().expect("parallel driver");
-    assert!(stats.executed > 0, "no events executed");
-    assert!(
-        stats.windows_parallel > stats.windows_serial,
-        "parallel windows should dominate a fault-free run: {stats:?}"
-    );
+    let first = fingerprint(&probe);
+    let second = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 14);
+    assert_eq!(first, second, "hierarchical: replay diverged");
 }
 
 #[test]
 fn resumed_runs_are_bit_identical() {
     // Splitting one run into many run_until calls must not change anything:
-    // window bounds depend only on event times, not on call boundaries.
-    let chunked = |threads: usize| {
-        let mut sim = ClusterSim::new(ClusterConfig::new(4));
-        sim.set_threads(threads);
-        sim.start();
-        for k in 1..=8 {
-            sim.run_until(SimTime::from_millis(1500 * k));
-        }
-        fingerprint(&sim)
-    };
-    let serial = run_one(|| ClusterConfig::new(4), |_| {}, 12, 1);
-    assert_eq!(serial, chunked(1), "chunked serial diverged");
-    assert_eq!(serial, chunked(4), "chunked threads=4 diverged");
+    // event order depends only on event times, not on call boundaries.
+    let mut sim = ClusterSim::new(ClusterConfig::new(4));
+    sim.start();
+    for k in 1..=8 {
+        sim.run_until(SimTime::from_millis(1500 * k));
+    }
+    let once = run_one(|| ClusterConfig::new(4), |_| {}, 12);
+    assert_eq!(once, fingerprint(&sim), "chunked run diverged");
 }
 
-// ---------- randomized differential ----------
+// ---------- randomized replay ----------
 
 /// A randomly drawn scenario: node count, stagger, topology, pad, and an
 /// optional crash/partition fault plan.
@@ -394,7 +323,6 @@ struct RandomScenario {
     /// central-concentrator ablation always stays a star).
     rack_size: Option<usize>,
     plan: Option<(u64, usize, usize)>,
-    threads: usize,
     secs: u64,
 }
 
@@ -406,7 +334,6 @@ fn scenario_strategy() -> impl Strategy<Value = RandomScenario> {
         prop_oneof![Just(0u32), Just(256)],
         prop_oneof![Just(None), Just(Some(2usize)), Just(Some(3usize))],
         (any::<bool>(), any::<u64>(), 0usize..6, 0usize..6),
-        2usize..9,
         6u64..10,
     )
         .prop_map(
@@ -417,7 +344,6 @@ fn scenario_strategy() -> impl Strategy<Value = RandomScenario> {
                 event_pad,
                 rack_size,
                 (with_plan, seed, crash, partner),
-                threads,
                 secs,
             )| RandomScenario {
                 nodes,
@@ -426,13 +352,12 @@ fn scenario_strategy() -> impl Strategy<Value = RandomScenario> {
                 event_pad,
                 rack_size: if central { None } else { rack_size },
                 plan: with_plan.then_some((seed, crash, partner)),
-                threads,
                 secs,
             },
         )
 }
 
-fn run_random(s: &RandomScenario, threads: usize) -> Fingerprint {
+fn run_random(s: &RandomScenario) -> Fingerprint {
     let mut cfg = ClusterConfig::new(s.nodes)
         .stagger(SimDur::from_micros(s.stagger_us))
         .event_pad(s.event_pad);
@@ -443,7 +368,6 @@ fn run_random(s: &RandomScenario, threads: usize) -> Fingerprint {
         cfg = cfg.racks(rack_size);
     }
     let mut sim = ClusterSim::new(cfg);
-    sim.set_threads(threads);
     sim.start();
     if let Some((seed, crash, partner)) = s.plan {
         let crash = crash % s.nodes;
@@ -467,8 +391,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
     fn random_scenarios_are_bit_identical(s in scenario_strategy()) {
-        let serial = run_random(&s, 1);
-        let par = run_random(&s, s.threads);
-        prop_assert_eq!(serial, par, "scenario {:?} diverged", s);
+        let first = run_random(&s);
+        let second = run_random(&s);
+        prop_assert_eq!(first, second, "scenario {:?} diverged", s);
     }
 }
