@@ -302,6 +302,11 @@ struct ScaleRun {
     /// Peak per-link utilization (lifetime payload bits over elapsed sim
     /// time, against the link's configured rate). Must stay ≤ 1.
     max_link_util: f64,
+    /// Per-peer state slots summed over every d-mon — the monitor's
+    /// memory footprint in peers. Each node holds slots only for the
+    /// peers it has talked to, so this grows with nodes × rack size;
+    /// cluster-sized per-peer state would make it nodes².
+    peer_slots: usize,
 }
 
 fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
@@ -353,13 +358,14 @@ fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
         staleness_max_s: staleness.max(),
         max_link_mbps: max_bps / 1e6,
         max_link_util: max_util,
+        peer_slots: w.dmons.iter().map(|d| d.peer_slots()).sum(),
     }
 }
 
 impl ScaleRun {
     fn json_fields(&self) -> String {
         format!(
-            "  \"scale_nodes\": {},\n  \"scale_racks\": {},\n  \"scale_sim_secs\": {},\n  \"scale_wall_ms\": {:.3},\n  \"scale_events\": {},\n  \"scale_digests_received\": {},\n  \"scale_spine_drops\": {},\n  \"scale_staleness_p50_s\": {:.6},\n  \"scale_staleness_p95_s\": {:.6},\n  \"scale_staleness_max_s\": {:.6},\n  \"scale_max_link_mbps\": {:.3},\n  \"scale_max_link_util\": {:.6}",
+            "  \"scale_nodes\": {},\n  \"scale_racks\": {},\n  \"scale_sim_secs\": {},\n  \"scale_wall_ms\": {:.3},\n  \"scale_events\": {},\n  \"scale_digests_received\": {},\n  \"scale_spine_drops\": {},\n  \"scale_staleness_p50_s\": {:.6},\n  \"scale_staleness_p95_s\": {:.6},\n  \"scale_staleness_max_s\": {:.6},\n  \"scale_max_link_mbps\": {:.3},\n  \"scale_max_link_util\": {:.6},\n  \"scale_peer_slots\": {}",
             self.nodes,
             self.racks,
             self.sim_secs,
@@ -372,6 +378,7 @@ impl ScaleRun {
             self.staleness_max_s,
             self.max_link_mbps,
             self.max_link_util,
+            self.peer_slots,
         )
     }
 }
@@ -507,7 +514,14 @@ fn main() {
     //   compile, and a fallback means the register compiler lost
     //   coverage of a certified shape;
     // - digest counters: the aggregation tier's cadence or payload shape
-    //   changed.
+    //   changed;
+    // - scale_peer_slots: d-mon's per-peer footprint in the scale run
+    //   (gated only when the baseline ran the same cluster size).
+    let scale_slots = (json_field(&base, "scale_nodes") == Some(scale.nodes as f64)).then_some((
+        "scale_peer_slots",
+        scale.peer_slots as u64,
+        "PEER FOOTPRINT DRIFT",
+    ));
     for (key, got, what) in [
         ("memo_bypassed", m.memo_bypassed, "MEMO GATE REGRESSION"),
         ("link_drops", overload.link_drops, "OVERLOAD POLICY DRIFT"),
@@ -534,7 +548,10 @@ fn main() {
             "DIGEST DRIFT",
         ),
         ("hier_digest_records", hier.digest_records, "DIGEST DRIFT"),
-    ] {
+    ]
+    .into_iter()
+    .chain(scale_slots)
+    {
         if let Some(base_v) = json_field(&base, key) {
             eprintln!("bench_pipeline: {key} {got} vs baseline {base_v:.0}");
             #[allow(clippy::float_cmp)] // integer-valued counters, exact by design

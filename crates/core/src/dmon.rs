@@ -103,6 +103,9 @@ pub struct DmonStats {
     pub credits_stalled: u64,
     /// Degradation-ladder level changes, in either direction.
     pub ladder_transitions: u64,
+    /// Monitoring and heartbeat frames dropped unread because their
+    /// origin id lies outside this cluster.
+    pub unknown_origin: u64,
     /// Rack digests submitted (aggregators only).
     pub digests_sent: u64,
     /// Rack digests received on the spine digest channel.
@@ -189,14 +192,6 @@ impl PeerHealth {
             PeerHealth::Dead => "dead",
         }
     }
-}
-
-/// What the failure detector remembers about one remote peer.
-#[derive(Debug, Clone, Copy)]
-struct PeerRecord {
-    last_heard: SimTime,
-    health: PeerHealth,
-    epoch: u32,
 }
 
 /// One memoized filter evaluation within the current poll, keyed by the
@@ -313,6 +308,180 @@ struct OutboxEntry {
     ext_names: Vec<(u32, String, String)>,
 }
 
+/// Everything a d-mon keeps about one remote peer: the stream it
+/// publishes toward the peer, the stream it receives from it, the
+/// customizations between them, and the `/proc` handles naming the peer
+/// — one contiguous slot, so a delivery touches one record instead of a
+/// column per field. Two reset paths, one method each:
+/// [`PeerState::reap`] on Dead eviction, [`PeerState::on_revive`] when
+/// this node restarts.
+#[derive(Default)]
+struct PeerState {
+    /// The peer's node index.
+    id: usize,
+    /// Last value actually sent, by metric id.
+    last_sent: Vec<Option<(f64, SimTime)>>,
+    /// Last value received, by metric id — the fast-path store
+    /// applications read alongside `/proc`.
+    remote_values: Vec<Option<(f64, SimTime)>>,
+    /// Next `stream_seq` toward the peer (data and heartbeats share the
+    /// numbering); survives eviction so a heal without a restart shows no
+    /// spurious stream reset.
+    stream_seq: u32,
+    /// Continuity tracker for the peer's incoming stream.
+    tracker: StreamTracker,
+    /// Failure-detector verdict; `None` until first heard from.
+    health: Option<PeerHealth>,
+    /// When the peer was last heard from, and its incarnation then.
+    last_heard: SimTime,
+    epoch: u32,
+    /// Last submission (data or heartbeat) toward the peer.
+    last_send: Option<SimTime>,
+    /// Events (data + heartbeats) submitted toward the peer.
+    sent: u64,
+    /// Interned handles for `cluster/<peer>/status` and, by metric id,
+    /// `cluster/<peer>/<file>`; whether `cluster/<peer>/control` exists.
+    status_handle: Option<ProcHandle>,
+    file_handles: Vec<Option<ProcHandle>>,
+    ctl_ready: bool,
+    /// Publisher-side credit window toward the peer, and the bounded
+    /// outbox of payloads awaiting credits.
+    credit: CreditWindow,
+    outbox: VecDeque<OutboxEntry>,
+    /// Subscriber-side grant accounting: data events absorbed from the
+    /// peer since the last grant, and loss repayments owed to it
+    /// (credits minted when a stream gap proved its frames destroyed).
+    ungranted: u32,
+    repay: u32,
+    /// Cumulative piggybacked-grant counter toward the peer (mod 256,
+    /// never resting on 0), and the last counter accepted from it.
+    grant_cum: u8,
+    grant_seen: u8,
+    /// Whether a data event arrived from the peer since the last poll.
+    data_since_poll: bool,
+    /// Remaining polls the stream toward the peer stays parked after an
+    /// uplink tail-drop, and the consecutive-drop backoff run (parks of
+    /// 1, 2, 4, then [`CHOKE_PARK_CAP`] polls).
+    choke_park: u32,
+    choke_run: u8,
+    /// The peer's customizations of its stream from here: parameter
+    /// rules and a deployed filter.
+    policy: Option<Box<PolicySet>>,
+    filter: Option<Box<DeployedFilter>>,
+    /// Why the peer last refused this node's filter.
+    rejection: Option<String>,
+    /// Customizations this node deployed on the peer, replayed on resync
+    /// when it restarts (its volatile state died with it).
+    deployed_ctl: Vec<ControlMsg>,
+    /// Learned schema extensions: metric/file names for the peer's ids
+    /// beyond the standard module set, ordered by id.
+    ext: BTreeMap<u32, (String, String)>,
+}
+
+impl PeerState {
+    /// Dead eviction: the stream toward the peer is over, so its send and
+    /// flow-control state goes — parked payloads are shed, the window
+    /// reopens full for a possible recovery, grant accounting resets. The
+    /// stream position, lifetime count, incoming tracker, remote view,
+    /// customizations (the replay log included) and `/proc` handles stay.
+    /// Returns the number of payloads shed.
+    fn reap(&mut self) -> u64 {
+        self.last_sent = Vec::new();
+        self.last_send = None;
+        let shed = self.outbox.len() as u64;
+        for e in self.outbox.drain(..) {
+            kecho::put_record_buf(e.records);
+        }
+        self.credit = CreditWindow::new();
+        (self.ungranted, self.repay, self.grant_cum, self.grant_seen) = (0, 0, 0, 0);
+        self.data_since_poll = false;
+        self.unchoke();
+        shed
+    }
+
+    /// This node restarted: everything about the peer is volatile except
+    /// what names `/proc` files — the host (and its proc tree) persists
+    /// across a crash-restart in this model. Per-metric file handles go
+    /// too: ext name→id bindings were learned from peers and are
+    /// relearned.
+    fn on_revive(&mut self) {
+        *self = PeerState {
+            id: self.id,
+            status_handle: self.status_handle,
+            ctl_ready: self.ctl_ready,
+            ..PeerState::default()
+        };
+    }
+
+    /// A credit grant is fresh evidence the path toward the peer works:
+    /// reopen a parked stream and reset its drop backoff.
+    fn unchoke(&mut self) {
+        (self.choke_park, self.choke_run) = (0, 0);
+    }
+
+    /// Allocate the next stream position toward the peer.
+    fn next_stream_seq(&mut self) -> u32 {
+        let v = self.stream_seq;
+        self.stream_seq = v.wrapping_add(1);
+        v
+    }
+}
+
+/// The sparse per-peer table: a [`PeerState`] per contacted peer, sorted
+/// by id so every scan visits peers in ascending order (status-file
+/// writes, `dead_peers` and grant sends depend on it), behind a dense
+/// id → slot index so the per-event path never hashes. A slot is
+/// allocated on first contact and never freed.
+struct PeerTable {
+    /// Slot per node id; `u32::MAX` until first contact.
+    index: Vec<u32>,
+    slots: Vec<PeerState>,
+    /// What reads of a never-contacted peer see.
+    blank: PeerState,
+}
+
+impl PeerTable {
+    fn new(n: usize) -> Self {
+        PeerTable {
+            index: vec![u32::MAX; n],
+            slots: Vec::new(),
+            blank: PeerState::default(),
+        }
+    }
+
+    /// `None` for ids outside the cluster; the blank state for peers
+    /// never contacted.
+    fn get(&self, id: NodeId) -> Option<&PeerState> {
+        let &k = self.index.get(id.0)?;
+        Some(self.slots.get(k as usize).unwrap_or(&self.blank))
+    }
+
+    /// A contacted peer's state, without allocating.
+    fn get_mut(&mut self, id: NodeId) -> Option<&mut PeerState> {
+        let &k = self.index.get(id.0)?;
+        self.slots.get_mut(k as usize)
+    }
+
+    /// The peer's state, allocated on first contact; `None` for ids
+    /// outside the cluster.
+    fn touch(&mut self, id: NodeId) -> Option<&mut PeerState> {
+        let k = *self.index.get(id.0)?;
+        if k != u32::MAX {
+            return Some(&mut self.slots[k as usize]);
+        }
+        let pos = self.slots.partition_point(|p| p.id < id.0);
+        let peer = PeerState {
+            id: id.0,
+            ..PeerState::default()
+        };
+        self.slots.insert(pos, peer);
+        for (k, p) in self.slots.iter().enumerate().skip(pos) {
+            self.index[p.id] = k as u32;
+        }
+        Some(&mut self.slots[pos])
+    }
+}
+
 /// The d-mon module of one node.
 pub struct DMon {
     node: NodeId,
@@ -326,8 +495,6 @@ pub struct DMon {
     /// Extra payload bytes per event (models larger event bodies; Fig. 7
     /// uses ~5 KB).
     event_pad: u32,
-    policies: HashMap<NodeId, PolicySet>,
-    filters: HashMap<NodeId, DeployedFilter>,
     /// Dense filter id per distinct deployed source (deploy-time only).
     /// Identical sources share an id so the per-poll memo can share
     /// their runs; ids survive removals and restarts — they only need
@@ -335,37 +502,15 @@ pub struct DMon {
     filter_ids: HashMap<String, u32>,
     /// Next dense filter id to hand out.
     next_filter_id: u32,
-    /// Last value actually sent, per subscriber (outer index = node id,
-    /// inner index = metric id). Bounded by construction; a Dead
-    /// subscriber's row is reaped.
-    last_sent: Vec<Vec<Option<(f64, SimTime)>>>,
-    /// Last value received from remote publishers, indexed
-    /// `[origin][metric_id]` — the fast-path store applications read
-    /// alongside `/proc`. Rows grow to each origin's highest metric id.
-    remote_values: Vec<Vec<Option<(f64, SimTime)>>>,
-    /// Learned schema extensions: metric/file names for foreign ids beyond
-    /// the standard module set, per origin. Ordered so name lookups scan
-    /// an origin's range deterministically.
-    remote_ext: BTreeMap<(NodeId, u32), (String, String)>,
+    /// Per-peer state, one slot per contacted peer.
+    peers: PeerTable,
     /// Number of modules present at construction (the cluster-wide
     /// standard set); ids beyond this need schema info on the wire.
     base_modules: usize,
-    /// Why a remote publisher last refused this node's filter, keyed by
-    /// publisher (populated by incoming [`ControlMsg::FilterRejected`]).
-    rejections: HashMap<NodeId, String>,
     seq: u64,
     /// This node's incarnation; bumped by [`DMon::on_revive`] so peers can
     /// tell a restart from a gap.
     epoch: u32,
-    /// Next `stream_seq` per subscriber stream (data and heartbeats share
-    /// the numbering). Indexed by node id; kept across a subscriber's
-    /// death so a heal without a restart shows no spurious stream reset.
-    stream_seq: Vec<u32>,
-    /// Continuity tracker per incoming stream, indexed by origin.
-    trackers: Vec<StreamTracker>,
-    /// Failure-detector state per remote peer, indexed by node id so
-    /// iteration (eviction, status files) is deterministic.
-    peers: Vec<Option<PeerRecord>>,
     /// Silence bound for Fresh → Stale.
     stale_after: SimDur,
     /// Silence bound for Stale → Dead.
@@ -374,31 +519,13 @@ pub struct DMon {
     /// Kept under `stale_after` so a fully-filtered publisher stays Fresh,
     /// but well above the polling period so heartbeats stay cheap.
     heartbeat_every: SimDur,
-    /// Last submission (data or heartbeat) per subscriber stream, indexed
-    /// by node id. Reaped when the subscriber is evicted as Dead.
-    stream_last_send: Vec<Option<SimTime>>,
-    /// Customizations this node deployed on remote publishers, replayed on
-    /// resync when a publisher restarts (its volatile policy/filter state
-    /// died with it).
-    deployed_ctl: HashMap<NodeId, Vec<ControlMsg>>,
     /// Peers that recovered since the last poll and need re-deployment.
     pending_resync: Vec<NodeId>,
-    /// Events (data + heartbeats) submitted per subscriber, indexed by
-    /// node id. A lifetime counter (observable via [`DMon::sent_to`]), so
-    /// it is flat and bounded rather than reaped.
-    sent_per_sub: Vec<u64>,
     /// Interned `/proc` handles for this node's own metric files, by
     /// module index; resolved on first write, O(1) afterwards.
     own_file_handles: Vec<Option<ProcHandle>>,
     /// Interned handle for `cluster/<own>/control`.
     own_ctl_handle: Option<ProcHandle>,
-    /// Interned handles for `cluster/<peer>/status`, by peer index.
-    status_handles: Vec<Option<ProcHandle>>,
-    /// Interned handles for `cluster/<origin>/<file>`, indexed
-    /// `[origin][metric_id]` — the receive path's hottest writes.
-    remote_file_handles: Vec<Vec<Option<ProcHandle>>>,
-    /// Origins whose `cluster/<origin>/control` file already exists.
-    remote_ctl_ready: Vec<bool>,
     /// Wire schema blocks for run-time-registered modules, rebuilt when
     /// the module set changes instead of per subscriber per poll.
     ext_schema: Vec<(u32, String, String)>,
@@ -431,53 +558,6 @@ pub struct DMon {
     /// Fingerprints two distinct sources have hashed to. The memo skips
     /// these permanently — correctness must not hinge on a 64-bit hash.
     fp_tainted: BTreeSet<u64>,
-    /// Publisher-side credit window per subscriber stream, indexed by
-    /// node id. Reset when the subscriber is evicted or this node
-    /// restarts.
-    credit: Vec<CreditWindow>,
-    /// Bounded per-subscriber outbox of payloads awaiting credits,
-    /// indexed by node id; overflow sheds oldest-first.
-    outbox: Vec<VecDeque<OutboxEntry>>,
-    /// Subscriber-side grant accounting: data events absorbed from each
-    /// publisher since the last credit grant, indexed by node id.
-    ungranted: Vec<u32>,
-    /// Loss repayments owed to each publisher: credits minted when a
-    /// stream gap proved its frames destroyed (they spent the publisher's
-    /// credits but consumed no receive capacity here). Flushed every poll
-    /// as a standalone priority-lane `Credit` frame — repayments exist
-    /// precisely while the bulk path is dropping, where a piggybacked
-    /// grant would die with its carrier.
-    repay: Vec<u32>,
-    /// Sender-side cumulative counter (mod 256, never resting on 0) of
-    /// credits piggybacked onto data events toward each subscriber. The
-    /// wire carries the counter, not the increment, so a grant whose
-    /// carrier tail-dropped is re-delivered by the next surviving frame.
-    grant_cum: Vec<u8>,
-    /// Receiver-side cursor: the last piggybacked counter value accepted
-    /// from each publisher; the wrapping difference on arrival is the
-    /// fresh grant.
-    grant_seen: Vec<u8>,
-    /// Whether any data event arrived from each publisher since this
-    /// node's previous poll. A publisher that owes us nothing goes quiet
-    /// naturally; one that went quiet while we still hold sub-threshold
-    /// grant debt is credit-starved — the poll flushes the remainder.
-    data_since_poll: Vec<bool>,
-    /// Remaining polls each subscriber stream stays parked after a
-    /// tail-drop at this node's own uplink queue, indexed by subscriber
-    /// id. A parked stream holds data without burning credits (the local
-    /// NIC said the queue is full — spending more right now is pointless)
-    /// and falls through to the heartbeat path. The park always expires —
-    /// the next data send re-probes the path — so no external frame is
-    /// ever needed to reopen the stream; an early credit grant reopens it
-    /// sooner.
-    choke_park: Vec<u32>,
-    /// Consecutive uplink tail-drops toward each subscriber — the binary
-    /// exponential backoff run (parks of 1, 2, 4, then
-    /// [`CHOKE_PARK_CAP`] polls). Sustained overload therefore converges
-    /// to long parked stretches, which is exactly the consecutive-stall
-    /// signal the degradation ladder keys on; a credit grant resets the
-    /// run.
-    choke_run: Vec<u8>,
     /// Whether this node's own uplink queue tail-dropped any frame since
     /// the previous poll. A local qdisc drop is the most direct overload
     /// evidence a node has — credit stalls can lag it by many polls when
@@ -526,7 +606,7 @@ impl DMon {
         assert!(!poll_period.is_zero(), "zero poll period");
         let env = EnvSpec::new(modules.iter().map(|m| m.metric_name().to_string()));
         let base_modules = modules.len();
-        let n = cluster_names.len();
+        let peers = PeerTable::new(cluster_names.len());
         DMon {
             node,
             cluster_names,
@@ -534,32 +614,18 @@ impl DMon {
             env,
             poll_period,
             event_pad: 0,
-            policies: HashMap::new(),
-            filters: HashMap::new(),
             filter_ids: HashMap::new(),
             next_filter_id: 0,
-            last_sent: vec![Vec::new(); n],
-            remote_values: vec![Vec::new(); n],
-            remote_ext: BTreeMap::new(),
+            peers,
             base_modules,
-            rejections: HashMap::new(),
             seq: 0,
             epoch: 0,
-            stream_seq: vec![0; n],
-            trackers: vec![StreamTracker::default(); n],
-            peers: vec![None; n],
             stale_after: poll_period.mul_f64(3.0),
             dead_after: poll_period.mul_f64(8.0),
             heartbeat_every: poll_period.mul_f64(2.0),
-            stream_last_send: vec![None; n],
-            deployed_ctl: HashMap::new(),
             pending_resync: Vec::new(),
-            sent_per_sub: vec![0; n],
             own_file_handles: vec![None; base_modules],
             own_ctl_handle: None,
-            status_handles: vec![None; n],
-            remote_file_handles: vec![Vec::new(); n],
-            remote_ctl_ready: vec![false; n],
             ext_schema: Vec::new(),
             filter_inputs: Vec::new(),
             sample_buf: Vec::new(),
@@ -571,15 +637,6 @@ impl DMon {
             record_arena: kecho::RecordArena::new(),
             fp_sources: BTreeMap::new(),
             fp_tainted: BTreeSet::new(),
-            credit: vec![CreditWindow::new(); n],
-            outbox: vec![VecDeque::new(); n],
-            ungranted: vec![0; n],
-            repay: vec![0; n],
-            grant_cum: vec![0; n],
-            grant_seen: vec![0; n],
-            data_since_poll: vec![false; n],
-            choke_park: vec![0; n],
-            choke_run: vec![0; n],
             wire_dropped_since_poll: false,
             ladder: 0,
             stall_run: 0,
@@ -630,13 +687,11 @@ impl DMon {
         // Filters were compiled against the shorter environment; they stay
         // valid (indices are stable) but cannot see the new metric until
         // redeployed. Recompile in place so subscribers pick it up.
-        // detlint: allow(unordered-iter) sorted before use on the next line
-        let mut sources: Vec<(NodeId, String)> = self
-            .filters
+        let slots = &self.peers.slots;
+        let sources: Vec<(NodeId, String)> = slots
             .iter()
-            .map(|(&sub, f)| (sub, f.filter.source().to_string()))
+            .filter_map(|p| Some((NodeId(p.id), p.filter.as_ref()?.filter.source().to_string())))
             .collect();
-        sources.sort_by_key(|&(sub, _)| sub);
         for (sub, source) in sources {
             if let Ok(f) = Filter::compile(&source, &self.env) {
                 self.install_filter(sub, f);
@@ -683,47 +738,43 @@ impl DMon {
             return self.remote_value_at(origin, idx as u32);
         }
         // A metric this node has no module for: resolve through the
-        // schema the origin shipped with its events. The map is ordered
-        // by (origin, id), so this scans exactly the origin's ids in
-        // ascending order.
-        let (&(_, idx), _) = self
-            .remote_ext
-            .range((origin, 0)..=(origin, u32::MAX))
-            .find(|(_, (name, _))| name == metric)?;
+        // schema the origin shipped with its events, in ascending id
+        // order.
+        let ext = &self.peers.get(origin)?.ext;
+        let (&idx, _) = ext.iter().find(|(_, (name, _))| name == metric)?;
         self.remote_value_at(origin, idx)
     }
 
     fn remote_value_at(&self, origin: NodeId, idx: u32) -> Option<(f64, SimTime)> {
-        *self.remote_values.get(origin.0)?.get(idx as usize)?
+        *self.peers.get(origin)?.remote_values.get(idx as usize)?
     }
 
     /// The policy a subscriber currently has configured here.
     pub fn policy_for(&self, subscriber: NodeId) -> Option<&PolicySet> {
-        self.policies.get(&subscriber)
+        self.peers.get(subscriber)?.policy.as_deref()
     }
 
     /// Whether a subscriber has a filter deployed here.
     pub fn has_filter(&self, subscriber: NodeId) -> bool {
-        self.filters.contains_key(&subscriber)
+        self.filter_for(subscriber).is_some()
     }
 
     /// The deployed filter of a subscriber, certificate included.
     pub fn filter_for(&self, subscriber: NodeId) -> Option<&Filter> {
-        self.filters.get(&subscriber).map(|df| &df.filter)
+        Some(&self.peers.get(subscriber)?.filter.as_ref()?.filter)
     }
 
     /// Whether a subscriber's deployed filter runs as a specialized
     /// register closure (vs the stack-VM interpreter fallback).
     pub fn filter_is_compiled(&self, subscriber: NodeId) -> bool {
-        self.filters
-            .get(&subscriber)
-            .is_some_and(|df| df.compiled.is_some())
+        let filter = self.peers.get(subscriber).and_then(|p| p.filter.as_ref());
+        filter.is_some_and(|df| df.compiled.is_some())
     }
 
     /// Why `publisher` last refused this node's filter deployment, if it
     /// did (cleared by a subsequent successful deployment).
     pub fn filter_rejection(&self, publisher: NodeId) -> Option<&str> {
-        self.rejections.get(&publisher).map(String::as_str)
+        self.peers.get(publisher)?.rejection.as_deref()
     }
 
     /// Configure the failure detector's silence bounds. Defaults are
@@ -749,12 +800,13 @@ impl DMon {
 
     /// Health of a remote peer; `None` until first contact.
     pub fn peer_health(&self, peer: NodeId) -> Option<PeerHealth> {
-        self.peers.get(peer.0)?.map(|r| r.health)
+        self.peers.get(peer)?.health
     }
 
     /// When a remote peer was last heard from; `None` until first contact.
     pub fn peer_last_heard(&self, peer: NodeId) -> Option<SimTime> {
-        self.peers.get(peer.0)?.map(|r| r.last_heard)
+        let p = self.peers.get(peer)?;
+        p.health.map(|_| p.last_heard)
     }
 
     /// This node's incarnation number.
@@ -765,19 +817,19 @@ impl DMon {
     /// Events (data + heartbeats) this publisher has submitted to one
     /// subscriber over its lifetime.
     pub fn sent_to(&self, subscriber: NodeId) -> u64 {
-        self.sent_per_sub.get(subscriber.0).copied().unwrap_or(0)
+        self.peers.get(subscriber).map_or(0, |p| p.sent)
     }
 
     /// Number of customization messages queued for replay to `target` if
     /// it restarts (bounded by compaction in [`DMon::record_deployment`]).
     pub fn deployed_ctl_len(&self, target: NodeId) -> usize {
-        self.deployed_ctl.get(&target).map_or(0, Vec::len)
+        self.peers.get(target).map_or(0, |p| p.deployed_ctl.len())
     }
 
     /// Length of the last-sent row held for `subscriber` — zero once a
     /// Dead eviction reaps it, non-zero again after publication resumes.
     pub fn last_sent_len(&self, subscriber: NodeId) -> usize {
-        self.last_sent.get(subscriber.0).map_or(0, Vec::len)
+        self.peers.get(subscriber).map_or(0, |p| p.last_sent.len())
     }
 
     /// Current degradation-ladder level (0 = full fidelity, 4 =
@@ -788,18 +840,18 @@ impl DMon {
 
     /// Events parked for `sub` awaiting credits.
     pub fn outbox_len(&self, sub: NodeId) -> usize {
-        self.outbox.get(sub.0).map_or(0, VecDeque::len)
+        self.peers.get(sub).map_or(0, |p| p.outbox.len())
     }
 
     /// Credits currently available toward `sub`.
     pub fn credits_for(&self, sub: NodeId) -> u32 {
-        self.credit.get(sub.0).map_or(0, CreditWindow::available)
+        self.peers.get(sub).map_or(0, |p| p.credit.available())
     }
 
     /// The full credit window toward `sub` (granted/consumed counters
     /// included), for observability surfaces.
     pub fn credit_window(&self, sub: NodeId) -> Option<&CreditWindow> {
-        self.credit.get(sub.0)
+        self.peers.get(sub).map(|p| &p.credit)
     }
 
     /// The kernel's own uplink queue tail-dropped a data frame bound for
@@ -812,38 +864,32 @@ impl DMon {
     /// the poll after that re-probes the path (under sustained overload
     /// each retry's drop re-chokes, halving the burn rate).
     pub fn on_wire_drop(&mut self, sub: NodeId) {
-        let Some(run) = self.choke_run.get_mut(sub.0) else {
+        let Some(p) = self.peers.touch(sub) else {
             return;
         };
-        *run = run.saturating_add(1);
-        self.choke_park[sub.0] = (1u32 << u32::from(*run - 1).min(3)).min(CHOKE_PARK_CAP);
+        p.choke_run = p.choke_run.saturating_add(1);
+        p.choke_park = (1u32 << u32::from(p.choke_run - 1).min(3)).min(CHOKE_PARK_CAP);
+        p.last_send = None;
         self.wire_dropped_since_poll = true;
-        if let Some(t) = self.stream_last_send.get_mut(sub.0) {
-            *t = None;
-        }
     }
 
     /// Whether the stream toward `sub` is currently parked by a local
     /// uplink tail-drop backoff.
     pub fn choked_toward(&self, sub: NodeId) -> bool {
-        self.choke_park.get(sub.0).is_some_and(|&p| p > 0)
-    }
-
-    /// A credit grant from `peer` is fresh evidence the path toward it
-    /// works: reopen a parked stream and reset its drop backoff.
-    fn unchoke(&mut self, peer: NodeId) {
-        if let Some(p) = self.choke_park.get_mut(peer.0) {
-            *p = 0;
-        }
-        if let Some(r) = self.choke_run.get_mut(peer.0) {
-            *r = 0;
-        }
+        self.peers.get(sub).is_some_and(|p| p.choke_park > 0)
     }
 
     /// Read access to the stream tracker observing `peer`'s stream
     /// (tests, probes).
     pub fn stream_tracker(&self, peer: NodeId) -> Option<&StreamTracker> {
-        self.trackers.get(peer.0)
+        self.peers.get(peer).map(|p| &p.tracker)
+    }
+
+    /// Per-peer slots allocated so far — one per peer this node has
+    /// streamed to, heard from, or customized. On a racked cluster this
+    /// follows the rack size, not the cluster size.
+    pub fn peer_slots(&self) -> usize {
+        self.peers.slots.len()
     }
 
     /// Crash-stop restart: volatile state (deployed policies/filters,
@@ -852,60 +898,35 @@ impl DMon {
     /// stats survive — they model the observer, not the kernel.
     pub fn on_revive(&mut self) {
         self.epoch += 1;
-        self.policies.clear();
-        self.filters.clear();
-        self.last_sent.iter_mut().for_each(Vec::clear);
-        self.remote_values.iter_mut().for_each(Vec::clear);
-        self.remote_ext.clear();
-        self.rejections.clear();
-        self.stream_seq.fill(0);
-        self.stream_last_send.fill(None);
-        self.trackers.fill_with(StreamTracker::default);
-        self.peers.fill(None);
-        self.deployed_ctl.clear();
+        self.peers.slots.iter_mut().for_each(PeerState::on_revive);
         self.pending_resync.clear();
-        self.sent_per_sub.fill(0);
-        // Flow-control and overload state is volatile too: windows reopen
-        // full, parked payloads died with the kernel, the ladder restarts
-        // at full fidelity.
-        self.credit
-            .iter_mut()
-            .for_each(|w| *w = CreditWindow::new());
-        self.outbox.iter_mut().for_each(VecDeque::clear);
-        self.ungranted.fill(0);
-        self.repay.fill(0);
-        self.grant_cum.fill(0);
-        self.grant_seen.fill(0);
-        self.data_since_poll.fill(false);
-        self.choke_park.fill(0);
-        self.choke_run.fill(0);
         self.wire_dropped_since_poll = false;
         self.ladder = 0;
         self.stall_run = 0;
         self.clear_run = 0;
         self.own_latest.fill(None);
         self.rack_digests.clear();
-        // Interned /proc handles survive: the host (and its proc tree)
-        // persists across a crash-restart in this model, so the paths they
-        // name are still the right files. Stale remote schema mappings do
-        // not: ext name→id bindings were learned from peers and are
-        // relearned, so their cached handles go too.
-        self.remote_file_handles.iter_mut().for_each(Vec::clear);
     }
 
     /// Fold a liveness proof from `origin` into the detector + trackers.
-    /// Returns the stream observation so callers can react to gaps.
+    /// Returns the stream observation so callers can react to gaps, or
+    /// `None` — counted, nothing else touched — when `origin` is not a
+    /// node of this cluster.
     fn note_alive(
         &mut self,
         origin: NodeId,
         epoch: u32,
         stream_seq: u32,
         now: SimTime,
-    ) -> Observation {
+    ) -> Option<Observation> {
         if origin == self.node {
-            return Observation::default();
+            return Some(Observation::default());
         }
-        let obs = self.trackers[origin.0].observe(epoch, stream_seq);
+        let Some(p) = self.peers.touch(origin) else {
+            self.stats.unknown_origin += 1;
+            return None;
+        };
+        let obs = p.tracker.observe(epoch, stream_seq);
         self.stats.gaps_detected += obs.lost;
         // A proven-lost frame spent one of the publisher's credits but
         // consumed none of our receive capacity: repay it, so the window
@@ -917,8 +938,8 @@ impl DMon {
         // window back to full strength; absorbed-data grants alone are
         // one-for-one and would leave a post-overload stream limping on a
         // deflated window forever.
-        self.repay[origin.0] =
-            self.repay[origin.0].saturating_add(u32::try_from(obs.lost).unwrap_or(u32::MAX));
+        let lost = u32::try_from(obs.lost).unwrap_or(u32::MAX);
+        p.repay = p.repay.saturating_add(lost);
         if obs.healed {
             // A straggler disproved an earlier loss accusation (see
             // `Observation::healed`); keep the counter exact — and take
@@ -926,21 +947,14 @@ impl DMon {
             // itself earns the ordinary absorbed-data credit in
             // `on_event`).
             self.stats.gaps_detected = self.stats.gaps_detected.saturating_sub(1);
-            self.repay[origin.0] = self.repay[origin.0].saturating_sub(1);
+            p.repay = p.repay.saturating_sub(1);
         }
-        let rec = self.peers[origin.0].get_or_insert(PeerRecord {
-            last_heard: now,
-            health: PeerHealth::Fresh,
-            epoch,
-        });
-        let recovered = rec.health == PeerHealth::Dead || obs.restarted;
-        rec.last_heard = now;
-        rec.health = PeerHealth::Fresh;
-        rec.epoch = epoch;
+        let recovered = p.health == Some(PeerHealth::Dead) || obs.restarted;
+        (p.health, p.last_heard, p.epoch) = (Some(PeerHealth::Fresh), now, epoch);
         if recovered && !self.pending_resync.contains(&origin) {
             self.pending_resync.push(origin);
         }
-        obs
+        Some(obs)
     }
 
     /// The channel registry announced that `peer` (re-)subscribed. A
@@ -955,10 +969,9 @@ impl DMon {
         if peer == self.node {
             return;
         }
-        if let Some(rec) = self.peers.get_mut(peer.0).and_then(Option::as_mut) {
-            if rec.health == PeerHealth::Dead {
-                rec.health = PeerHealth::Stale;
-                rec.last_heard = now;
+        if let Some(p) = self.peers.get_mut(peer) {
+            if p.health == Some(PeerHealth::Dead) {
+                (p.health, p.last_heard) = (Some(PeerHealth::Stale), now);
             }
         }
     }
@@ -969,22 +982,23 @@ impl DMon {
     fn check_peers(&mut self, host: &mut Host, now: SimTime) -> Vec<NodeId> {
         let mut dead = Vec::new();
         let stats = &mut self.stats;
-        let status_handles = &mut self.status_handles;
         let cluster_names = &self.cluster_names;
         let (stale_after, dead_after) = (self.stale_after, self.dead_after);
-        for (idx, slot) in self.peers.iter_mut().enumerate() {
-            let Some(rec) = slot.as_mut() else { continue };
-            let age = now.since(rec.last_heard);
-            if rec.health != PeerHealth::Dead {
+        for peer in &mut self.peers.slots {
+            let Some(health) = peer.health.as_mut() else {
+                continue;
+            };
+            let age = now.since(peer.last_heard);
+            if *health != PeerHealth::Dead {
                 if age >= dead_after {
-                    rec.health = PeerHealth::Dead;
+                    *health = PeerHealth::Dead;
                     stats.nodes_evicted += 1;
-                    dead.push(NodeId(idx));
+                    dead.push(NodeId(peer.id));
                 } else if age >= stale_after {
-                    if rec.health == PeerHealth::Fresh {
+                    if *health == PeerHealth::Fresh {
                         stats.nodes_suspected += 1;
                     }
-                    rec.health = PeerHealth::Stale;
+                    *health = PeerHealth::Stale;
                 }
                 // Past the stale bound at least one heartbeat interval
                 // has gone unanswered; count one miss per silent check.
@@ -992,15 +1006,15 @@ impl DMon {
                     stats.heartbeats_missed += 1;
                 }
             }
-            let h = match status_handles[idx] {
+            let h = match peer.status_handle {
                 Some(h) => h,
                 None => {
-                    let name = &cluster_names[idx];
+                    let name = &cluster_names[peer.id];
                     let h = host
                         .proc
                         .intern(&format!("cluster/{name}/status"))
                         .expect("status path");
-                    status_handles[idx] = Some(h);
+                    peer.status_handle = Some(h);
                     h
                 }
             };
@@ -1009,13 +1023,13 @@ impl DMon {
             // `"{} last_update {:.3} age {:.3} epoch {}"` via `format!`.
             let buf = host.proc.handle_buf(h);
             buf.clear();
-            buf.push_str(rec.health.label());
+            buf.push_str(health.label());
             buf.push_str(" last_update ");
-            fastfmt::push_f64_fixed3(buf, rec.last_heard.as_secs_f64());
+            fastfmt::push_f64_fixed3(buf, peer.last_heard.as_secs_f64());
             buf.push_str(" age ");
             fastfmt::push_f64_fixed3(buf, age.as_secs_f64());
             buf.push_str(" epoch ");
-            fastfmt::push_u64(buf, rec.epoch as u64);
+            fastfmt::push_u64(buf, peer.epoch as u64);
         }
         dead
     }
@@ -1115,29 +1129,12 @@ impl DMon {
 
         // 2. Age the failure detector: transitions, status files, and the
         // peers to evict from the registry this iteration. An evicted
-        // subscriber's per-stream send state is reaped here — its stream
-        // is over; a later recovery starts from a clean slate — while
-        // lifetime counters (`sent_per_sub`) and the replay log
-        // (`deployed_ctl`, bounded by compaction) deliberately survive.
+        // subscriber's stream is over: `PeerState::reap` says what goes.
         let dead_peers = self.check_peers(host, now);
         for &peer in &dead_peers {
-            self.last_sent[peer.0] = Vec::new();
-            self.stream_last_send[peer.0] = None;
-            // Flow-control state dies with the stream: parked payloads
-            // for a dead subscriber are shed, its window reopens full for
-            // a possible recovery, grant accounting toward it resets.
-            while let Some(e) = self.outbox[peer.0].pop_front() {
-                kecho::put_record_buf(e.records);
-                self.stats.events_shed += 1;
+            if let Some(p) = self.peers.get_mut(peer) {
+                self.stats.events_shed += p.reap();
             }
-            self.credit[peer.0] = CreditWindow::new();
-            self.ungranted[peer.0] = 0;
-            self.repay[peer.0] = 0;
-            self.grant_cum[peer.0] = 0;
-            self.grant_seen[peer.0] = 0;
-            self.data_since_poll[peer.0] = false;
-            self.choke_park[peer.0] = 0;
-            self.choke_run[peer.0] = 0;
         }
 
         // 3. Per subscriber: parameters or filter decide what to send; a
@@ -1177,8 +1174,9 @@ impl DMon {
                 let keep = if self.ladder >= LADDER_TOP { 1 } else { 2 };
                 records.retain(|r| (r.metric_id as usize) < keep);
             }
+            let p = self.peers.touch(sub).expect("subscriber in range");
             if !records.is_empty() {
-                let row = &mut self.last_sent[sub.0];
+                let row = &mut p.last_sent;
                 if row.len() < self.modules.len() {
                     row.resize(self.modules.len(), None);
                 }
@@ -1202,9 +1200,9 @@ impl DMon {
                         .cloned()
                         .collect()
                 };
-                self.outbox[sub.0].push_back(OutboxEntry { records, ext_names });
-                if self.outbox[sub.0].len() > OUTBOX_CAP {
-                    let e = self.outbox[sub.0].pop_front().expect("outbox over cap");
+                p.outbox.push_back(OutboxEntry { records, ext_names });
+                if p.outbox.len() > OUTBOX_CAP {
+                    let e = p.outbox.pop_front().expect("outbox over cap");
                     kecho::put_record_buf(e.records);
                     self.stats.events_shed += 1;
                 }
@@ -1219,16 +1217,16 @@ impl DMon {
             // a grant arrived would deadlock now that grants piggyback on
             // reverse data — a peer with zero grant debt has no frame to
             // unchoke with.
-            let choked = self.choke_park[sub.0] > 0;
+            let choked = p.choke_park > 0;
             if choked {
-                self.choke_park[sub.0] -= 1;
+                p.choke_park -= 1;
             }
             let mut sent_data = false;
-            while !choked && !self.outbox[sub.0].is_empty() {
-                if !self.credit[sub.0].try_consume() {
+            while !choked && !p.outbox.is_empty() {
+                if !p.credit.try_consume() {
                     break;
                 }
-                let e = self.outbox[sub.0].pop_front().expect("checked non-empty");
+                let e = p.outbox.pop_front().expect("checked non-empty");
                 self.seq += 1;
                 // Piggyback this node's grant debt for the reverse stream:
                 // a subscriber that also publishes tops its peers up on
@@ -1243,18 +1241,18 @@ impl DMon {
                 // is going unacknowledged skip the attach — their bulk
                 // frames are probably dying, so the debt is left for the
                 // loss-immune priority-lane Credit frame instead.
-                if !self.credit[sub.0].grant_overdue() {
-                    let mut grant = self.ungranted[sub.0].min(u32::from(u8::MAX));
-                    if grant > 0 && self.grant_cum[sub.0].wrapping_add(grant as u8) == 0 {
+                if !p.credit.grant_overdue() {
+                    let mut grant = p.ungranted.min(u32::from(u8::MAX));
+                    if grant > 0 && p.grant_cum.wrapping_add(grant as u8) == 0 {
                         // The counter never rests on 0 (0 on the wire
                         // means "no grant info"): defer one credit so the
                         // cursor arithmetic stays unambiguous.
                         grant -= 1;
                     }
-                    self.grant_cum[sub.0] = self.grant_cum[sub.0].wrapping_add(grant as u8);
-                    self.ungranted[sub.0] -= grant;
+                    p.grant_cum = p.grant_cum.wrapping_add(grant as u8);
+                    p.ungranted -= grant;
                 }
-                let grant = u32::from(self.grant_cum[sub.0]);
+                let grant = u32::from(p.grant_cum);
                 let mut ev = Event::monitoring(
                     mon_chan.0,
                     self.seq,
@@ -1262,7 +1260,7 @@ impl DMon {
                     MonitoringPayload {
                         origin: self.node,
                         epoch: self.epoch,
-                        stream_seq: self.next_stream_seq(sub),
+                        stream_seq: p.next_stream_seq(),
                         credit_grant: grant,
                         records: e.records,
                         pad_bytes: self.event_pad,
@@ -1279,8 +1277,8 @@ impl DMon {
                 self.stats.events_sent += 1;
                 self.stats.bytes_sent += bytes as u64;
                 self.stats.submit_cost_partial(handler);
-                self.sent_per_sub[sub.0] += 1;
-                self.stream_last_send[sub.0] = Some(now);
+                p.sent += 1;
+                p.last_send = Some(now);
                 sent_data = true;
                 sends.push((
                     Hop {
@@ -1291,7 +1289,7 @@ impl DMon {
                     bytes,
                 ));
             }
-            if !self.outbox[sub.0].is_empty() {
+            if !p.outbox.is_empty() {
                 self.stats.credits_stalled += 1;
                 stalled_any = true;
             }
@@ -1304,7 +1302,7 @@ impl DMon {
             // priority-lane heartbeats until a grant lands, so the
             // subscriber keeps its liveness proof (and its gap
             // accounting) however lossy the bulk lane is.
-            let overdue = self.credit[sub.0].grant_overdue();
+            let overdue = p.credit.grant_overdue();
             if !sent_data || overdue {
                 // Heartbeats are rate-limited to `heartbeat_every`, not
                 // one per poll: a preformatted liveness packet only needs
@@ -1315,7 +1313,7 @@ impl DMon {
                 // cannot absorb data. An overdue stream skips the rate
                 // limit: its own data sends reset the silence clock while
                 // proving nothing.
-                let silence = self.stream_last_send[sub.0].map_or(SimDur::MAX, |t| now.since(t));
+                let silence = p.last_send.map_or(SimDur::MAX, |t| now.since(t));
                 if !overdue && silence < self.heartbeat_every {
                     continue;
                 }
@@ -1328,14 +1326,14 @@ impl DMon {
                     HeartbeatPayload {
                         origin: self.node,
                         epoch: self.epoch,
-                        stream_seq: self.next_stream_seq(sub),
+                        stream_seq: p.next_stream_seq(),
                     },
                 );
                 let bytes = kecho::wire::encoded_size(&ev);
                 cpu += calib.heartbeat_cost + calib.heartbeat_path_send;
                 self.stats.heartbeats_sent += 1;
-                self.sent_per_sub[sub.0] += 1;
-                self.stream_last_send[sub.0] = Some(now);
+                p.sent += 1;
+                p.last_send = Some(now);
                 sends.push((
                     Hop {
                         from: self.node,
@@ -1353,14 +1351,15 @@ impl DMon {
         // batch to about one control frame per window half.
         let mut grants: Vec<(NodeId, u32)> = std::mem::take(&mut self.grant_buf);
         grants.clear();
-        for idx in 0..self.ungranted.len() {
+        for p in &mut self.peers.slots {
             // Batch absorbed-data grants behind the threshold — but flush
             // any remainder when the publisher's data stream has gone
             // quiet: a stalled publisher trickling below the threshold
             // would otherwise never be topped back up (credit deadlock
             // after wire loss).
-            let pending = self.ungranted[idx];
-            let quiet_debt = pending > 0 && !self.data_since_poll[idx];
+            let pending = p.ungranted;
+            let quiet_debt = pending > 0 && !p.data_since_poll;
+            p.data_since_poll = false;
             let absorbed = if pending >= GRANT_THRESHOLD || quiet_debt {
                 pending
             } else {
@@ -1371,14 +1370,13 @@ impl DMon {
             // a starved window is the bottleneck and a piggybacked grant
             // would die with its carrier. The standalone frame rides the
             // priority lane, so it is loss-immune.
-            let credits = absorbed + self.repay[idx];
+            let credits = absorbed + p.repay;
             if credits > 0 {
-                grants.push((NodeId(idx), credits));
-                self.ungranted[idx] -= absorbed;
-                self.repay[idx] = 0;
+                grants.push((NodeId(p.id), credits));
+                p.ungranted -= absorbed;
+                p.repay = 0;
             }
         }
-        self.data_since_poll.fill(false);
         for (publisher, credits) in grants.drain(..) {
             self.seq += 1;
             let ev = Event::control(
@@ -1404,7 +1402,8 @@ impl DMon {
         // node had deployed on them (their volatile state died with them).
         for peer in std::mem::take(&mut self.pending_resync) {
             self.stats.resyncs += 1;
-            for msg in self.deployed_ctl.get(&peer).cloned().unwrap_or_default() {
+            let log = self.peers.get(peer).map(|p| p.deployed_ctl.clone());
+            for msg in log.unwrap_or_default() {
                 self.seq += 1;
                 let ev = Event::control(ctl_chan.0, self.seq, self.node, peer, msg);
                 let bytes = kecho::wire::encoded_size(&ev);
@@ -1438,7 +1437,7 @@ impl DMon {
         // thresholds → drop low-priority modules → summary-only digest);
         // stepping back up needs a hysteresis run of clear polls AND fully
         // drained outboxes, so a borderline load cannot flap the level.
-        let outboxes_empty = self.outbox.iter().all(VecDeque::is_empty);
+        let outboxes_empty = self.peers.slots.iter().all(|p| p.outbox.is_empty());
         // A poll marred by a local uplink tail-drop counts as stalled even
         // if every outbox drained: the NIC is refusing this node's own
         // output, which is overload however healthy the credit windows
@@ -1499,14 +1498,6 @@ impl DMon {
         }
     }
 
-    /// Allocate the next per-subscriber stream position.
-    fn next_stream_seq(&mut self, sub: NodeId) -> u32 {
-        let slot = &mut self.stream_seq[sub.0];
-        let v = *slot;
-        *slot = slot.wrapping_add(1);
-        v
-    }
-
     /// Which modules at least one remote subscriber's stream can consume.
     /// A subscriber with a certified filter consumes exactly the filter's
     /// read set; any other subscriber (parameter rules or defaults)
@@ -1525,7 +1516,8 @@ impl DMon {
                 continue;
             }
             any_remote = true;
-            match self.filters.get(&sub).map(|f| &f.filter.cert().reads) {
+            let filter = self.peers.get(sub).and_then(|p| p.filter.as_ref());
+            match filter.map(|f| &f.filter.cert().reads) {
                 Some(MetricSet::Fixed(set)) => {
                     for &i in set {
                         if i < n {
@@ -1599,15 +1591,14 @@ impl DMon {
             Some(_) => self.stats.filters_compiled += 1,
             None => self.stats.interp_fallbacks += 1,
         }
-        self.filters.insert(
-            sub,
-            DeployedFilter {
+        if let Some(p) = self.peers.touch(sub) {
+            p.filter = Some(Box::new(DeployedFilter {
                 filter: f,
                 id,
                 compiled,
                 memo_class,
-            },
-        );
+            }));
+        }
     }
 
     /// Decide which metric records to send to one subscriber.
@@ -1619,14 +1610,15 @@ impl DMon {
         calib: &Calib,
         cpu: &mut SimDur,
     ) -> Vec<MonRecord> {
-        if let Some(df) = self.filters.get(&sub) {
+        let peer = self.peers.get(sub);
+        if let Some(df) = peer.and_then(|p| p.filter.as_deref()) {
             // A deployed filter takes over the decision entirely. Skipped
             // slots get a zero placeholder: a module is only skipped when
             // every deployed filter's certificate proves it unread, so the
             // placeholder is unobservable.
             let mut inputs = std::mem::take(&mut self.filter_inputs);
             inputs.clear();
-            let row = &self.last_sent[sub.0];
+            let row = peer.map_or(&[][..], |p| &p.last_sent);
             for (i, s) in samples.iter().enumerate() {
                 let last = row.get(i).and_then(|o| o.as_ref()).map_or(0.0, |&(v, _)| v);
                 inputs.push(MetricRecord {
@@ -1708,8 +1700,8 @@ impl DMon {
                 }
             }
         } else {
-            let policy = self.policies.get(&sub);
-            let row = &self.last_sent[sub.0];
+            let policy = peer.and_then(|p| p.policy.as_deref());
+            let row = peer.map_or(&[][..], |p| &p.last_sent);
             // Recycled from delivered events (the delivery paths call
             // `Event::recycle`), so the steady state allocates nothing.
             let mut records = kecho::take_record_buf();
@@ -1818,7 +1810,9 @@ impl DMon {
                 .or_else(|| metric.strip_prefix("clear:"))
                 .unwrap_or(metric)
         }
-        let log = self.deployed_ctl.entry(target).or_default();
+        let Some(log) = self.peers.touch(target).map(|p| &mut p.deployed_ctl) else {
+            return;
+        };
         match msg {
             ControlMsg::SetParam { metric, .. } => {
                 if metric.starts_with("and:") {
@@ -1869,51 +1863,48 @@ impl DMon {
             return SimDur::ZERO;
         };
         let origin = payload.origin;
-        let obs = self.note_alive(origin, payload.epoch, payload.stream_seq, now);
+        let Some(obs) = self.note_alive(origin, payload.epoch, payload.stream_seq, now) else {
+            return SimDur::ZERO;
+        };
+        let p = self.peers.touch(origin).expect("origin checked above");
         if origin != self.node {
             // Grant accounting: this arrival consumed one of the credits
             // we granted the publisher; the next poll tops it back up once
             // enough have accumulated.
-            self.ungranted[origin.0] = self.ungranted[origin.0].saturating_add(1);
-            self.data_since_poll[origin.0] = true;
+            p.ungranted = p.ungranted.saturating_add(1);
+            p.data_since_poll = true;
             // The piggybacked-grant counter for our reverse stream. Only
             // stream-advancing arrivals move the cursor: a reordered
             // straggler carries an outdated counter whose wrapping delta
             // would read as a huge bogus grant. A restarted publisher
             // starts a fresh counter, so the cursor restarts with it.
             if obs.restarted {
-                self.grant_seen[origin.0] = 0;
+                p.grant_seen = 0;
             }
             let cum = payload.credit_grant.min(u32::from(u8::MAX)) as u8;
             if cum != 0 && !obs.stale {
-                let delta = cum.wrapping_sub(self.grant_seen[origin.0]);
-                self.grant_seen[origin.0] = cum;
+                let delta = cum.wrapping_sub(p.grant_seen);
+                p.grant_seen = cum;
                 if delta > 0 {
-                    if let Some(w) = self.credit.get_mut(origin.0) {
-                        w.grant(u32::from(delta));
-                    }
-                    self.unchoke(origin);
+                    p.credit.grant(u32::from(delta));
+                    p.unchoke();
                 }
             }
         }
         for (id, metric, file) in &payload.ext_names {
-            let known = self
-                .remote_ext
-                .get(&(origin, *id))
-                .is_some_and(|(m, f)| m == metric && f == file);
+            let known = p.ext.get(id).is_some_and(|(m, f)| m == metric && f == file);
             if !known {
                 // A changed file name (the origin restarted with another
                 // module layout) invalidates the cached /proc handle.
-                if let Some(slot) = self.remote_file_handles[origin.0].get_mut(*id as usize) {
+                if let Some(slot) = p.file_handles.get_mut(*id as usize) {
                     *slot = None;
                 }
-                self.remote_ext
-                    .insert((origin, *id), (metric.clone(), file.clone()));
+                p.ext.insert(*id, (metric.clone(), file.clone()));
             }
         }
         for r in &payload.records {
             let id = r.metric_id as usize;
-            let values = &mut self.remote_values[origin.0];
+            let values = &mut p.remote_values;
             if values.len() <= id {
                 values.resize(id + 1, None);
             }
@@ -1921,11 +1912,9 @@ impl DMon {
             let file: &str = if id < self.base_modules {
                 self.modules.get(id).map_or("extra", |m| m.file_name())
             } else {
-                self.remote_ext
-                    .get(&(origin, r.metric_id))
-                    .map_or("extra", |(_, f)| f.as_str())
+                p.ext.get(&r.metric_id).map_or("extra", |(_, f)| f.as_str())
             };
-            let handles = &mut self.remote_file_handles[origin.0];
+            let handles = &mut p.file_handles;
             if handles.len() <= id {
                 handles.resize(id + 1, None);
             }
@@ -1953,12 +1942,12 @@ impl DMon {
         }
         // Make sure the control file for that node exists so applications
         // can customize it.
-        if !self.remote_ctl_ready[origin.0] {
+        if !p.ctl_ready {
             let ctl = format!("cluster/{}/control", self.cluster_names[origin.0]);
             if !host.proc.exists(&ctl) {
                 host.proc.set(&ctl, "").expect("control path");
             }
-            self.remote_ctl_ready[origin.0] = true;
+            p.ctl_ready = true;
         }
         let handler = calib.receive_cost(bytes);
         self.stats.events_received += 1;
@@ -1979,7 +1968,9 @@ impl DMon {
         // reveals a gap proves the publisher alive with its data dying on
         // the wire, and the repaid credits let it re-probe the path
         // without waiting a full round-trip of absorbed data.
-        self.note_alive(hb.origin, hb.epoch, hb.stream_seq, now);
+        let Some(_) = self.note_alive(hb.origin, hb.epoch, hb.stream_seq, now) else {
+            return SimDur::ZERO;
+        };
         self.stats.heartbeats_received += 1;
         calib.heartbeat_cost
     }
@@ -1997,7 +1988,9 @@ impl DMon {
                         .iter()
                         .find(|m| m.file_name() == rest)
                         .map_or_else(|| rest.to_string(), |m| m.metric_name().to_string());
-                    self.policies.entry(from).or_default().clear_metric(&name);
+                    if let Some(p) = self.peers.touch(from) {
+                        p.policy.get_or_insert_default().clear_metric(&name);
+                    }
                     return ControlOutcome::cost(calib.policy_eval);
                 }
                 if let Some(rest) = metric.strip_prefix("window:") {
@@ -2026,11 +2019,13 @@ impl DMon {
                     .map_or_else(|| metric.to_string(), |m| m.metric_name().to_string());
                 let metric = metric.as_str();
                 let rule = Rule::from_spec(*param);
-                let policy = self.policies.entry(from).or_default();
-                if additive {
-                    policy.add_rule(metric, rule);
-                } else {
-                    policy.set_rule(metric, rule);
+                if let Some(p) = self.peers.touch(from) {
+                    let policy = p.policy.get_or_insert_default();
+                    if additive {
+                        policy.add_rule(metric, rule);
+                    } else {
+                        policy.set_rule(metric, rule);
+                    }
                 }
                 ControlOutcome::cost(calib.policy_eval)
             }
@@ -2058,7 +2053,9 @@ impl DMon {
                 ControlOutcome::cost(calib.filter_compile)
             }
             ControlMsg::RemoveFilter => {
-                self.filters.remove(&from);
+                if let Some(p) = self.peers.get_mut(from) {
+                    p.filter = None;
+                }
                 ControlOutcome::cost(calib.policy_eval)
             }
             ControlMsg::Announce => ControlOutcome::cost(SimDur::ZERO),
@@ -2066,15 +2063,17 @@ impl DMon {
                 // We are the publisher: the subscriber absorbed data and
                 // reopens our window toward it. A grant is also fresh
                 // evidence the path works, so a choked stream reopens.
-                if let Some(w) = self.credit.get_mut(from.0) {
-                    w.grant(*credits);
+                if let Some(p) = self.peers.touch(from) {
+                    p.credit.grant(*credits);
+                    p.unchoke();
                 }
-                self.unchoke(from);
                 ControlOutcome::cost(calib.policy_eval)
             }
             ControlMsg::FilterRejected { reason } => {
                 // We are the subscriber: a publisher refused our filter.
-                self.rejections.insert(from, reason.clone());
+                if let Some(p) = self.peers.touch(from) {
+                    p.rejection = Some(reason.clone());
+                }
                 ControlOutcome::cost(calib.policy_eval)
             }
         }
@@ -2116,9 +2115,9 @@ impl DMon {
                 let sample = if m == self.node.0 {
                     self.own_latest.get(id).copied().flatten()
                 } else {
-                    self.remote_values
-                        .get(m)
-                        .and_then(|row| row.get(id))
+                    self.peers
+                        .get(NodeId(m))
+                        .and_then(|p| p.remote_values.get(id))
                         .copied()
                         .flatten()
                 };
@@ -2723,6 +2722,12 @@ mod tests {
     }
 
     fn mon_from(origin: NodeId, mon: ChannelId, epoch: u32, sseq: u32) -> Event {
+        mon_with_grant(origin, mon, epoch, sseq, 0)
+    }
+
+    /// A one-record monitoring event whose piggybacked cumulative grant
+    /// counter reads `grant`.
+    fn mon_with_grant(origin: NodeId, mon: ChannelId, epoch: u32, sseq: u32, grant: u32) -> Event {
         let mut ev = Event::monitoring(
             mon.0,
             1,
@@ -2731,7 +2736,7 @@ mod tests {
                 origin,
                 epoch,
                 stream_seq: sseq,
-                credit_grant: 0,
+                credit_grant: grant,
                 records: vec![MonRecord {
                     metric_id: 0,
                     value: 1.0,
@@ -2744,6 +2749,318 @@ mod tests {
         );
         ev.target = Some(NodeId(0));
         ev
+    }
+
+    fn hb_from(origin: NodeId, mon: ChannelId, sseq: u32) -> Event {
+        Event::heartbeat(
+            mon.0,
+            1,
+            origin,
+            NodeId(0),
+            kecho::HeartbeatPayload {
+                origin,
+                epoch: 0,
+                stream_seq: sseq,
+            },
+        )
+    }
+
+    /// Monitoring payloads sent to `to`, in send order.
+    fn mon_to(out: &PollOutcome, to: NodeId) -> Vec<&MonitoringPayload> {
+        out.sends
+            .iter()
+            .filter(|(h, _, _)| h.to == to)
+            .filter_map(|(_, ev, _)| ev.as_monitoring())
+            .collect()
+    }
+
+    /// Stream positions of every monitoring event or heartbeat sent to
+    /// `to`, in send order.
+    fn stream_seqs_to(out: &PollOutcome, to: NodeId) -> Vec<u32> {
+        out.sends
+            .iter()
+            .filter(|(h, _, _)| h.to == to)
+            .filter_map(|(_, ev, _)| {
+                ev.as_monitoring()
+                    .map(|m| m.stream_seq)
+                    .or_else(|| ev.as_heartbeat().map(|hb| hb.stream_seq))
+            })
+            .collect()
+    }
+
+    fn credit_sent_to(out: &PollOutcome, to: NodeId) -> bool {
+        out.sends.iter().any(|(h, ev, _)| {
+            h.to == to && matches!(ev.as_control(), Some(ControlMsg::Credit { .. }))
+        })
+    }
+
+    /// Where [`drive_every_peer_field`] left peer 1's streams.
+    struct Driven {
+        /// Time (whole seconds) of the last poll.
+        secs: u64,
+        /// Next stream position on peer 1's stream toward this node.
+        p_seq: u32,
+        /// Next stream position on peer 2's stream toward this node.
+        q_seq: u32,
+    }
+
+    /// Drive peer 1 through every per-peer field this d-mon keeps: data
+    /// sent (last-sent row, stream position, lifetime count), a grant
+    /// piggybacked toward it, an outbox parked past its credits, a choke
+    /// after an uplink drop, sub-threshold grant debt for its own stream,
+    /// a loss repayment minted by a gap, and a tracker that logged the
+    /// gap. Peer 2 stays Fresh on heartbeats throughout.
+    fn drive_every_peer_field(
+        dmon: &mut DMon,
+        host: &mut Host,
+        dir: &Directory,
+        mon: ChannelId,
+        ctl: ChannelId,
+        calib: &Calib,
+    ) -> Driven {
+        let (p, q) = (NodeId(1), NodeId(2));
+        let t = SimTime::from_secs;
+        // First contact on the subscriber side: a data event whose grant
+        // counter reads 3 (the window is full, so the grant is capped
+        // away, but the cursor moves).
+        dmon.on_event(host, &mon_with_grant(p, mon, 0, 0, 3), 90, t(1), calib);
+        let (mut p_seq, mut q_seq) = (1u32, 0u32);
+        let mut secs = 1;
+        loop {
+            dmon.on_heartbeat(&hb_from(p, mon, p_seq), t(secs), calib);
+            dmon.on_heartbeat(&hb_from(q, mon, q_seq), t(secs), calib);
+            p_seq += 1;
+            q_seq += 1;
+            let out = dmon.poll(host, dir, mon, ctl, t(secs), calib);
+            if secs == 1 {
+                // The absorbed arrival's debt rides the first data event
+                // back as a piggybacked grant.
+                assert_eq!(mon_to(&out, p)[0].credit_grant, 1);
+            }
+            if dmon.outbox_len(p) > 0 {
+                break;
+            }
+            secs += 1;
+            assert!(secs < 40, "the credit window never ran dry");
+        }
+        assert_eq!(dmon.credits_for(p), 0);
+        dmon.on_wire_drop(p);
+        assert!(dmon.choked_toward(p));
+        // Two positions lost: the next arrival proves a gap (repayment
+        // owed) and adds one absorbed event of sub-threshold grant debt.
+        p_seq += 2;
+        dmon.on_event(
+            host,
+            &mon_with_grant(p, mon, 0, p_seq, 3),
+            90,
+            t(secs),
+            calib,
+        );
+        p_seq += 1;
+        assert_eq!(dmon.stream_tracker(p).unwrap().gaps(), 2);
+        assert!(dmon.remote_value(p, "LOADAVG").is_some());
+        Driven { secs, p_seq, q_seq }
+    }
+
+    #[test]
+    fn per_peer_reset_matrix_for_eviction_and_revive() {
+        use kecho::INITIAL_CREDITS;
+        let (p, q) = (NodeId(1), NodeId(2));
+        let t = SimTime::from_secs;
+
+        // Dead eviction reaps exactly the per-stream send state and the
+        // grant accounting; lifetime counters, stream positions and the
+        // incoming tracker survive it.
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        let d = drive_every_peer_field(&mut dmon, &mut host, &dir, mon, ctl, &calib);
+        let sent_before = dmon.sent_to(p);
+        let parked = dmon.outbox_len(p) as u64;
+        let shed_before = dmon.stats.events_shed;
+        assert!(sent_before > u64::from(INITIAL_CREDITS));
+        assert!(dmon.last_sent_len(p) > 0);
+        let mut secs = d.secs + 9;
+        let mut q_seq = d.q_seq;
+        dmon.on_heartbeat(&hb_from(q, mon, q_seq), t(secs), &calib);
+        q_seq += 1;
+        let out = dmon.poll(&mut host, &dir, mon, ctl, t(secs), &calib);
+        assert_eq!(out.dead_peers, vec![p]);
+        assert_eq!(dmon.peer_health(p), Some(PeerHealth::Dead));
+        assert!(out.sends.iter().all(|(h, _, _)| h.to != p));
+        // Reaped: outbox (counted as shed), last-sent row, window, choke,
+        // grant debt and repayment (no Credit frame goes out for them).
+        assert_eq!(dmon.outbox_len(p), 0);
+        assert_eq!(dmon.stats.events_shed, shed_before + parked);
+        assert_eq!(dmon.last_sent_len(p), 0);
+        assert_eq!(dmon.credits_for(p), INITIAL_CREDITS);
+        let w = dmon.credit_window(p).unwrap();
+        assert_eq!((w.granted(), w.consumed(), w.unacked()), (0, 0, 0));
+        assert!(!dmon.choked_toward(p));
+        assert!(!credit_sent_to(&out, p));
+        // Survived: lifetime count, tracker (gap log included), the last
+        // remote view.
+        assert_eq!(dmon.sent_to(p), sent_before);
+        let tr = dmon.stream_tracker(p).unwrap();
+        assert!(tr.contacted());
+        assert_eq!(tr.gaps(), 2);
+        assert!(dmon.remote_value(p, "LOADAVG").is_some());
+        secs += 1;
+        dmon.on_heartbeat(&hb_from(q, mon, q_seq), t(secs), &calib);
+        q_seq += 1;
+        let out = dmon.poll(&mut host, &dir, mon, ctl, t(secs), &calib);
+        assert!(!credit_sent_to(&out, p), "reaped debt never flushes later");
+
+        // Heal without a restart: the stream toward the peer resumes at
+        // the next position (no spurious reset), the grant counter starts
+        // over, and so does the cursor for the peer's own counter.
+        dmon.on_peer_rejoin(p, t(secs));
+        let mut seqs = Vec::new();
+        let mut data = Vec::new();
+        for _ in 0..4 {
+            secs += 1;
+            dmon.on_heartbeat(&hb_from(q, mon, q_seq), t(secs), &calib);
+            q_seq += 1;
+            let out = dmon.poll(&mut host, &dir, mon, ctl, t(secs), &calib);
+            seqs.extend(stream_seqs_to(&out, p));
+            data.extend(mon_to(&out, p).iter().map(|m| m.credit_grant));
+        }
+        assert_eq!(seqs[0] as u64, sent_before, "stream_seq survives eviction");
+        assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1));
+        assert_eq!(data.first(), Some(&0), "grant counter reset");
+        assert_eq!(dmon.credit_window(p).unwrap().granted(), 0);
+        // The drop backoff run restarted too: a fresh drop parks the
+        // stream for one poll, not two.
+        dmon.on_wire_drop(p);
+        secs += 1;
+        dmon.on_heartbeat(&hb_from(q, mon, q_seq), t(secs), &calib);
+        dmon.poll(&mut host, &dir, mon, ctl, t(secs), &calib);
+        assert!(!dmon.choked_toward(p), "backoff run reset");
+        dmon.on_event(
+            &mut host,
+            &mon_with_grant(p, mon, 0, d.p_seq, 3),
+            90,
+            t(secs),
+            &calib,
+        );
+        assert!(
+            dmon.credit_window(p).unwrap().granted() > 0,
+            "grant cursor reset: the counter's full value reads as fresh"
+        );
+
+        // Revive resets every volatile field; the /proc files the
+        // interned handles name keep being written.
+        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
+        let d = drive_every_peer_field(&mut dmon, &mut host, &dir, mon, ctl, &calib);
+        dmon.on_revive();
+        assert_eq!(dmon.epoch(), 1);
+        assert_eq!(dmon.sent_to(p), 0);
+        let tr = dmon.stream_tracker(p).unwrap();
+        assert!(!tr.contacted());
+        assert_eq!(tr.gaps(), 0);
+        assert_eq!(dmon.peer_health(p), None);
+        assert_eq!(dmon.peer_last_heard(p), None);
+        assert_eq!(dmon.credits_for(p), INITIAL_CREDITS);
+        let w = dmon.credit_window(p).unwrap();
+        assert_eq!((w.granted(), w.consumed(), w.unacked()), (0, 0, 0));
+        assert_eq!(dmon.outbox_len(p), 0);
+        assert_eq!(dmon.last_sent_len(p), 0);
+        assert!(!dmon.choked_toward(p));
+        assert!(dmon.remote_value(p, "LOADAVG").is_none());
+        let secs = d.secs + 1;
+        let out = dmon.poll(&mut host, &dir, mon, ctl, t(secs), &calib);
+        assert!(
+            !credit_sent_to(&out, p),
+            "grant debt and repayment died with the kernel"
+        );
+        let to_p = mon_to(&out, p);
+        assert_eq!(to_p.len(), 1);
+        assert_eq!(to_p[0].stream_seq, 0, "stream positions restart");
+        assert_eq!(to_p[0].credit_grant, 0, "grant counter restarts");
+        assert_eq!(dmon.sent_to(p), 1);
+        dmon.on_wire_drop(p);
+        dmon.on_event(
+            &mut host,
+            &mon_from(p, mon, 0, d.p_seq),
+            90,
+            t(secs),
+            &calib,
+        );
+        assert_eq!(
+            dmon.stream_tracker(p).unwrap().gaps(),
+            0,
+            "fresh tracker adopts the stream"
+        );
+        dmon.poll(&mut host, &dir, mon, ctl, t(secs + 1), &calib);
+        assert!(!dmon.choked_toward(p), "backoff run reset");
+        let status = host.proc.read("cluster/maui/status").unwrap();
+        assert!(status.starts_with("fresh"), "{status}");
+        assert!(
+            status.contains(&format!("last_update {}.000", secs)),
+            "{status}"
+        );
+        assert!(host
+            .proc
+            .read("cluster/maui/cpu")
+            .unwrap()
+            .contains(" 1 ts "));
+    }
+
+    #[test]
+    fn never_contacted_peers_read_defaults_and_foreign_origins_are_dropped() {
+        use kecho::INITIAL_CREDITS;
+        let (mut dmon, mut host, _dir, mon, _ctl, calib) = setup();
+        let p = NodeId(2);
+        assert_eq!(dmon.peer_slots(), 0);
+        assert_eq!(dmon.credits_for(p), INITIAL_CREDITS);
+        let w = dmon.credit_window(p).expect("in-range peer has a window");
+        assert_eq!(format!("{w:?}"), format!("{:?}", CreditWindow::new()));
+        let tr = dmon.stream_tracker(p).expect("in-range peer has a tracker");
+        assert_eq!(format!("{tr:?}"), format!("{:?}", StreamTracker::default()));
+        assert_eq!(dmon.sent_to(p), 0);
+        assert_eq!(dmon.outbox_len(p), 0);
+        assert_eq!(dmon.last_sent_len(p), 0);
+        assert_eq!(dmon.peer_health(p), None);
+        assert_eq!(dmon.peer_last_heard(p), None);
+        assert!(!dmon.choked_toward(p));
+        assert!(dmon.remote_value(p, "LOADAVG").is_none());
+        assert_eq!(dmon.peer_slots(), 0, "reads allocate nothing");
+
+        // A frame from an id outside the cluster is dropped unread and
+        // counted; nothing else moves.
+        let foreign = NodeId(names().len() + 5);
+        let cost = dmon.on_event(
+            &mut host,
+            &mon_from(foreign, mon, 0, 0),
+            90,
+            SimTime::from_secs(1),
+            &calib,
+        );
+        assert_eq!(cost, SimDur::ZERO);
+        let hb = Event::heartbeat(
+            mon.0,
+            1,
+            foreign,
+            NodeId(0),
+            kecho::HeartbeatPayload {
+                origin: foreign,
+                epoch: 0,
+                stream_seq: 0,
+            },
+        );
+        assert_eq!(
+            dmon.on_heartbeat(&hb, SimTime::from_secs(1), &calib),
+            SimDur::ZERO
+        );
+        assert_eq!(dmon.stats.unknown_origin, 2);
+        assert_eq!(dmon.stats.events_received, 0);
+        assert_eq!(dmon.stats.heartbeats_received, 0);
+        assert_eq!(dmon.peer_slots(), 0);
+        assert_eq!(dmon.peer_health(foreign), None);
+        assert_eq!(
+            dmon.credit_window(foreign).map(CreditWindow::available),
+            None
+        );
+        assert!(dmon.stream_tracker(foreign).is_none());
+        assert_eq!(dmon.credits_for(foreign), 0);
     }
 
     #[test]
@@ -2929,10 +3246,10 @@ mod tests {
         host.cpu.spawn_compute(SimTime::from_secs(1), "a");
         host.cpu.spawn_compute(SimTime::from_secs(1), "b");
         dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(100), &calib);
-        if let Some(slot) = dmon.last_sent[1].first_mut() {
+        if let Some(slot) = dmon.peers.get_mut(NodeId(1)).unwrap().last_sent.first_mut() {
             *slot = Some((0.0, SimTime::from_secs(100)));
         }
-        if let Some(slot) = dmon.last_sent[2].first_mut() {
+        if let Some(slot) = dmon.peers.get_mut(NodeId(2)).unwrap().last_sent.first_mut() {
             *slot = Some((1e12, SimTime::from_secs(100)));
         }
         let out = dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(101), &calib);
@@ -3058,7 +3375,8 @@ mod tests {
         }
         // Same source → same memo id, so the per-poll memo shares runs
         // on a u32 compare.
-        assert_eq!(dmon.filters[&NodeId(1)].id, dmon.filters[&NodeId(2)].id);
+        let id = |dmon: &DMon, sub| dmon.peers.get(sub).unwrap().filter.as_ref().unwrap().id;
+        assert_eq!(id(&dmon, NodeId(1)), id(&dmon, NodeId(2)));
         dmon.on_control(
             NodeId(2),
             &ControlMsg::DeployFilter {
@@ -3068,7 +3386,7 @@ mod tests {
         );
         // Distinct sources never share an id, even if their
         // fingerprints were to collide.
-        assert_ne!(dmon.filters[&NodeId(1)].id, dmon.filters[&NodeId(2)].id);
+        assert_ne!(id(&dmon, NodeId(1)), id(&dmon, NodeId(2)));
         // Every admission was specialized into a register closure.
         assert_eq!(dmon.stats.filters_compiled, 3);
         assert_eq!(dmon.stats.interp_fallbacks, 0);

@@ -156,3 +156,34 @@ fn event_size_scales_submission_cost() {
         "{small} -> {large}"
     );
 }
+
+#[test]
+fn per_peer_state_follows_rack_size_not_cluster_size() {
+    // d-mon allocates per-peer state on first contact, so on a racked
+    // cluster a node's footprint is its rack, not the cluster: members
+    // only ever talk to rack-mates, and aggregators additionally hear
+    // the other racks' digests. A regression to cluster-sized per-peer
+    // arrays (O(N^2) memory cluster-wide) fails here, deterministically.
+    const N: usize = 512;
+    const RACK: usize = 16;
+    let mut sim = ClusterSim::new(ClusterConfig::new(N).racks(RACK));
+    sim.start();
+    sim.run_until(SimTime::from_secs(4));
+    let w = sim.world();
+    let mut most = 0;
+    for (i, d) in w.dmons.iter().enumerate() {
+        let node = NodeId(i);
+        let mut bound = RACK - 1;
+        if w.placement.is_aggregator(node) {
+            let own = w.placement.rack_of(node) as u32;
+            bound += d.rack_digests().filter(|&(r, _)| r != own).count();
+        }
+        assert!(
+            d.peer_slots() <= bound,
+            "node {i} holds {} peer slots, bound {bound}",
+            d.peer_slots()
+        );
+        most = most.max(d.peer_slots());
+    }
+    assert_eq!(most, RACK - 1, "nodes never contacted their rack-mates");
+}
