@@ -163,31 +163,6 @@ fn build(s: &Scenario) -> ClusterSim {
     sim
 }
 
-/// Everything observable about a finished run, in comparable form — the
-/// same-seed replay check hashes nothing, it compares it all.
-fn fingerprint(sim: &ClusterSim) -> String {
-    let w = sim.world();
-    let mut out = String::new();
-    for h in &w.hosts {
-        out += &h.proc.render_tree();
-    }
-    for d in &w.dmons {
-        out += &format!("{:?}\n", d.stats);
-    }
-    out += &format!(
-        "mon={} ctl={} lat={} deliv={} payload={} drops={} hwm={:?} fault={:?}",
-        w.mon_delivered,
-        w.ctl_delivered,
-        w.mon_latency_us.len(),
-        w.net.deliveries(),
-        w.net.payload_bytes(),
-        w.net.link_drops(),
-        w.net.queue_hwm(),
-        w.fault.stats,
-    );
-    out
-}
-
 /// Counters worth surfacing in the per-seed report line.
 struct Outcome {
     drops: u64,
@@ -278,10 +253,10 @@ fn soak_one(seed: u64) -> (Outcome, Vec<String>) {
 
     // Determinism under overload: a one-shot replay of the same seed must
     // land on bit-identical state.
-    let first_fp = fingerprint(&sim);
+    let first_fp = sim.fingerprint();
     let mut replay = build(&s);
     replay.run_until(SimTime::from_secs(END_S));
-    if fingerprint(&replay) != first_fp {
+    if replay.fingerprint() != first_fp {
         bad.push("same-seed replay diverged".into());
     }
 

@@ -18,7 +18,7 @@ use simos::host::{Host, HostConfig};
 use simos::workload::Linpack;
 use simos::TaskId;
 
-use kecho::{wire, ChannelId, Directory, Event, EventKind, Hop, Topology};
+use kecho::{ChannelId, Directory, Event, EventKind, Hop, Topology};
 
 use crate::calib::Calib;
 use crate::dmon::DMon;
@@ -51,9 +51,6 @@ pub struct ClusterConfig {
     pub event_pad: u32,
     /// Per-node offset of the first poll, avoiding phase-locked polling.
     pub stagger: SimDur,
-    /// Subscribe every node to both channels at start (the normal dproc
-    /// deployment).
-    pub auto_subscribe: bool,
     /// Failure-detector silence bound for Fresh → Stale; `None` keeps the
     /// d-mon default (3× the polling period).
     pub stale_after: Option<SimDur>,
@@ -87,7 +84,6 @@ impl ClusterConfig {
             calib: Calib::default(),
             event_pad: 0,
             stagger: SimDur::from_millis(1),
-            auto_subscribe: true,
             stale_after: None,
             dead_after: None,
         }
@@ -157,7 +153,7 @@ impl ClusterConfig {
 }
 
 /// Typed cluster events. The three hot event kinds (polls, service
-/// completions, deliveries) ride the scheduler's typed message lane — no
+/// completions, deliveries) queue as the scheduler's typed messages — no
 /// per-event closure boxing. Fault actions are cold and stay boxed
 /// closures.
 #[derive(Debug, Clone)]
@@ -220,17 +216,12 @@ pub struct ClusterWorld {
     pub linpacks: Vec<Linpack>,
     /// The channel directory.
     pub dir: Directory,
-    /// The monitoring channel (rack 0's on a hierarchy — kept under the
-    /// legacy name so single-rack consumers are untouched).
-    pub mon_chan: ChannelId,
-    /// The control channel (rack 0's on a hierarchy).
-    pub ctl_chan: ChannelId,
     /// Resolved node → rack map (one rack on the star).
     pub placement: Placement,
-    /// Per-rack `(monitoring, control)` channels. On the star this is
-    /// exactly `[(mon_chan, ctl_chan)]`; on a hierarchy the rack scoping
-    /// is what shrinks every publisher's subscriber set from cluster-size
-    /// to rack-size.
+    /// Per-rack `(monitoring, control)` channels. On the star this is the
+    /// single cluster-wide pair; on a hierarchy the rack scoping is what
+    /// shrinks every publisher's subscriber set from cluster-size to
+    /// rack-size.
     pub rack_chans: Vec<(ChannelId, ChannelId)>,
     /// The spine digest channel rack aggregators publish their bounded
     /// roll-ups on; `None` on the star (no aggregation tier).
@@ -261,10 +252,6 @@ pub struct ClusterWorld {
     /// revive so a stale periodic closure stops instead of polling a
     /// dead (or doubly-revived) node forever.
     pub(crate) poll_token: Vec<u64>,
-    /// Nodes the failure detector evicted from the directory. Only these
-    /// auto-rejoin when they find themselves unsubscribed — nodes that
-    /// were never subscribed (manual-subscription setups) stay out.
-    pub(crate) evicted: Vec<bool>,
     /// Polling period, kept for re-arming a revived node's poll series.
     pub(crate) poll_period: SimDur,
     /// Per-node events handled (sent + received) in a sliding 1 s window —
@@ -519,24 +506,6 @@ impl ClusterWorld {
                     dmon.on_event(host, &ev, bytes, now, calib)
                 };
                 self.charge_cpu(sim, to, handler + self.calib.kernel_path_recv);
-
-                // Central-concentrator topology: the hub relays.
-                if let Topology::Central(hub) = self.dir.topology() {
-                    if to == hub {
-                        if let Some(origin) = ev.as_monitoring().map(|m| m.origin) {
-                            if origin != hub {
-                                let chan = ChannelId(ev.channel);
-                                let hops = self.dir.plan_forward(chan, origin);
-                                for fwd in hops {
-                                    let relay_cost =
-                                        self.calib.submit_cost(bytes) + self.calib.kernel_path_send;
-                                    self.charge_cpu(sim, hub, relay_cost);
-                                    self.transmit(sim, fwd, ev.clone(), bytes);
-                                }
-                            }
-                        }
-                    }
-                }
                 ev.recycle();
             }
             EventKind::Heartbeat => {
@@ -559,15 +528,10 @@ impl ClusterWorld {
                     if let Some(reply) = outcome.reply {
                         // E.g. a filter rejection travelling back to the
                         // subscriber that tried to deploy it.
-                        let rev =
-                            self.dmons[to.0].make_control_event(self.ctl_chan, ev.sender, reply);
-                        let bytes = wire::encoded_size(&rev);
-                        let send_cost = self.calib.submit_cost(bytes) + self.calib.kernel_path_send;
-                        self.charge_cpu(sim, to, send_cost);
-                        let hop = Hop {
-                            from: to,
-                            to: ev.sender,
-                        };
+                        let (_, ctl) = self.chans_of(to.0);
+                        let ((hop, rev, bytes), cost) =
+                            self.dmons[to.0].plan_reply(ctl, ev.sender, reply, &self.calib);
+                        self.charge_cpu(sim, to, cost);
                         self.transmit(sim, hop, rev, bytes);
                     }
                 }
@@ -617,7 +581,6 @@ impl ClusterWorld {
         // its rack's channels (plus the digest channel when it is the
         // rack aggregator).
         self.subscribe_node(node);
-        self.evicted[i] = false;
         self.notify_rejoin(node, sim.now());
         self.poll_token[i] += 1;
         let first = sim.now() + self.poll_period;
@@ -676,14 +639,12 @@ impl ClusterWorld {
         // eviction removes exactly what the peer's placement subscribed.
         for &peer in &outcome.dead_peers {
             self.unsubscribe_node(peer);
-            self.evicted[peer.0] = true;
         }
         // A node evicted during a partition notices it is no longer a
         // member once it can poll again and re-registers — recovery is
         // symmetric even when both sides declared each other dead.
-        if outcome.rejoin && self.evicted[i] {
+        if outcome.rejoin {
             self.subscribe_node(NodeId(i));
-            self.evicted[i] = false;
             self.notify_rejoin(NodeId(i), now);
         }
         // The aggregation tier: after the regular poll, a rack aggregator
@@ -699,11 +660,12 @@ impl ClusterWorld {
                     let calib = &self.calib;
                     self.dmons[i].poll_digest(dir, dg, rack as u32, members, calib)
                 };
-                if let Some((sends, cpu)) = planned {
+                if let Some((mut sends, cpu)) = planned {
                     self.charge_cpu(sim, node, cpu);
-                    for (hop, ev, bytes) in sends {
+                    for (hop, ev, bytes) in sends.drain(..) {
                         self.transmit(sim, hop, ev, bytes);
                     }
+                    self.dmons[i].recycle_sends(sends);
                 }
             }
         }
@@ -731,8 +693,8 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Build a cluster from a configuration. Channels are opened and (by
-    /// default) every node subscribes to both.
+    /// Build a cluster from a configuration. Channels are opened and every
+    /// node subscribes to the channels its placement assigns.
     pub fn new(cfg: ClusterConfig) -> Self {
         let n = cfg.names.len();
         assert!(n > 0, "cluster needs at least one node");
@@ -764,7 +726,6 @@ impl ClusterSim {
             let dg = dir.open("dproc-digest");
             (chans, Some(dg))
         };
-        let (mon_chan, ctl_chan) = rack_chans[0];
         let shared_names = std::sync::Arc::new(cfg.names.clone());
         let mut hosts = Vec::with_capacity(n);
         let mut dmons = Vec::with_capacity(n);
@@ -786,26 +747,14 @@ impl ClusterSim {
                 dmon.set_failure_bounds(stale, dead);
             }
             dmons.push(dmon);
-            if cfg.auto_subscribe {
-                let (mon, ctl) = rack_chans[placement.rack_of(NodeId(i))];
-                dir.subscribe(mon, NodeId(i));
-                dir.subscribe(ctl, NodeId(i));
-                if let Some(dg) = digest_chan {
-                    if placement.is_aggregator(NodeId(i)) {
-                        dir.subscribe(dg, NodeId(i));
-                    }
-                }
-            }
         }
-        let world = ClusterWorld {
+        let mut world = ClusterWorld {
             net,
             flows: FlowTable::new(),
             hosts,
             dmons,
             linpacks: (0..n).map(|_| Linpack::new()).collect(),
             dir,
-            mon_chan,
-            ctl_chan,
             placement,
             rack_chans,
             digest_chan,
@@ -819,13 +768,15 @@ impl ClusterSim {
             alive: vec![true; n],
             fault: simnet::FaultState::new(0),
             poll_token: vec![0; n],
-            evicted: vec![false; n],
             poll_period: cfg.poll_period,
             event_meter: (0..n)
                 .map(|_| BytesWindow::new(SimDur::from_secs(1)))
                 .collect(),
             flow_meta: std::collections::HashMap::new(),
         };
+        for i in 0..n {
+            world.subscribe_node(NodeId(i));
+        }
         ClusterSim {
             sim: Sim::new(),
             world,
@@ -881,6 +832,36 @@ impl ClusterSim {
     /// Immutable world access.
     pub fn world(&self) -> &ClusterWorld {
         &self.world
+    }
+
+    /// Everything observable about the run so far, in comparable form:
+    /// every host's `/proc` forest, every d-mon's counters, the delivery
+    /// counts, the latency sampler (length, mean and p95 as raw f64
+    /// bits), and the network and fault counters. Same-seed replays must
+    /// produce identical strings; any hash-order iteration, wall-clock
+    /// read or ambient RNG draw that leaks into simulation state shows up
+    /// as a diff.
+    pub fn fingerprint(&self) -> String {
+        let w = &self.world;
+        let lat = &w.mon_latency_us;
+        let mut out: String = w.hosts.iter().map(|h| h.proc.render_tree()).collect();
+        for d in &w.dmons {
+            out += &format!("{:?}\n", d.stats);
+        }
+        out + &format!(
+            "mon={} ctl={} lat={} mean_bits={:#x} p95_bits={:#x} deliv={} payload={} \
+             drops={} hwm={:?} fault={:?}",
+            w.mon_delivered,
+            w.ctl_delivered,
+            lat.len(),
+            lat.mean().to_bits(),
+            lat.percentile(95.0).to_bits(),
+            w.net.deliveries(),
+            w.net.payload_bytes(),
+            w.net.link_drops(),
+            w.net.queue_hwm(),
+            w.fault.stats,
+        )
     }
 
     /// Mutable world access (between runs).
@@ -1151,6 +1132,51 @@ mod tests {
     }
 
     #[test]
+    fn central_hub_delivers_each_event_once() {
+        // The hub relays each leaf-to-leaf event to its addressee exactly
+        // once, so every leaf receives what it would peer to peer.
+        let received = |topology| {
+            let mut sim = ClusterSim::new(ClusterConfig::new(4).topology(topology));
+            sim.start();
+            sim.run_until(SimTime::from_secs(20));
+            let w = sim.world();
+            w.dmons
+                .iter()
+                .map(|d| d.stats.events_received)
+                .collect::<Vec<_>>()
+        };
+        let p2p = received(Topology::PeerToPeer);
+        let central = received(Topology::Central(NodeId(0)));
+        assert_eq!(central[1..], p2p[1..], "leaves: central vs p2p");
+    }
+
+    #[test]
+    fn control_reply_rides_the_repliers_rack_channel() {
+        // Two racks of two: node3 deploys an unbounded filter on its rack
+        // mate node2, which rejects it over rack 1's control channel.
+        let mut sim = ClusterSim::new(ClusterConfig::new(4).racks(2));
+        sim.start();
+        sim.run_until(SimTime::from_secs(2));
+        sim.write_control(NodeId(3), "node2", "filter { while (1) { } }");
+        sim.run_until(SimTime::from_secs(6));
+        let w = sim.world();
+        assert!(w.dmons[3].filter_rejection(NodeId(2)).is_some());
+        let conn = |tag: ChannelId| ConnId {
+            local: NodeId(3),
+            remote: NodeId(2),
+            proto: simnet::conn::Proto::Tcp,
+            tag: tag.0,
+        };
+        let (_, ctl1) = w.chans_of(3);
+        let (_, ctl0) = w.chans_of(0);
+        assert!(
+            w.hosts[3].conns.get(conn(ctl0)).is_none(),
+            "no stray rack-0 control connection"
+        );
+        assert!(w.hosts[3].conns.get(conn(ctl1)).is_some());
+    }
+
+    #[test]
     fn iperf_flood_perturbs_monitoring_latency() {
         let mut sim = ClusterSim::new(ClusterConfig::new(2));
         sim.start();
@@ -1200,7 +1226,7 @@ mod congestion_tests {
             local: NodeId(1),
             remote: NodeId(0),
             proto: Proto::Tcp,
-            tag: w.mon_chan.0,
+            tag: w.chans_of(0).0 .0,
         };
         let retx = w.hosts[1]
             .conns
@@ -1225,7 +1251,7 @@ mod congestion_tests {
             local: NodeId(1),
             remote: NodeId(0),
             proto: Proto::Tcp,
-            tag: w.mon_chan.0,
+            tag: w.chans_of(0).0 .0,
         };
         assert_eq!(w.hosts[1].conns.get(conn).unwrap().retransmissions(), 0);
     }

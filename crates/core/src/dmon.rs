@@ -13,15 +13,16 @@
 //! the CPU cost to charge; the cluster glue executes sends and schedules
 //! deliveries.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use ecode::{
     compile_filter, CompiledFilter, EnvSpec, Filter, FilterOutput, MemoClass, MetricRecord,
     MetricSet, RuntimeError,
 };
+use kecho::event::Payload;
 use kecho::{
-    ChannelId, ControlMsg, CreditWindow, DigestPayload, DigestRecord, Directory, Event,
+    ChannelId, ControlMsg, CreditWindow, DigestPayload, DigestRecord, Directory, Event, EventKind,
     HeartbeatPayload, Hop, MonRecord, MonitoringPayload, Observation, ParamSpec, StreamTracker,
     GRANT_THRESHOLD, OUTBOX_CAP,
 };
@@ -134,6 +135,85 @@ pub struct DmonStats {
 /// One planned transmission: `(hop, event, payload_bytes)`.
 pub type PlannedSend = (Hop, Event, usize);
 
+/// Frames planned by one d-mon step and the CPU they cost. Every frame
+/// d-mon sends — data, heartbeat, credit grant, resync replay,
+/// control-file write, rack digest, control reply — goes through
+/// [`Outbound::emit`], the single home of the frame cost model.
+struct Outbound {
+    node: NodeId,
+    /// Sequence number of the last frame emitted.
+    seq: u64,
+    /// Planned frames; the glue hands the drained vector back through
+    /// [`DMon::recycle_sends`], so the steady state allocates no fresh
+    /// send list.
+    sends: Vec<PlannedSend>,
+    /// CPU charged since the last [`Outbound::take`].
+    cpu: SimDur,
+}
+
+impl Outbound {
+    /// Plan one frame to `to`: stamp the next sequence number and the
+    /// target, size it on the wire, and charge its submission — a flat
+    /// handler plus the priority path for heartbeats, a size-proportional
+    /// handler plus the kernel path for everything else. Returns the
+    /// handler cost and wire size for the data path's stats.
+    fn emit(
+        &mut self,
+        calib: &Calib,
+        chan: ChannelId,
+        to: NodeId,
+        payload: Payload,
+    ) -> (SimDur, usize) {
+        let kind = match payload {
+            Payload::Monitoring(_) => EventKind::Monitoring,
+            Payload::Control(_) => EventKind::Control,
+            Payload::Heartbeat(_) => EventKind::Heartbeat,
+            Payload::Digest(_) => EventKind::Digest,
+        };
+        self.seq += 1;
+        let ev = Event {
+            kind,
+            channel: chan.0,
+            seq: self.seq,
+            sender: self.node,
+            target: Some(to),
+            payload,
+        };
+        let bytes = kecho::wire::encoded_size(&ev);
+        let (handler, path) = if kind == EventKind::Heartbeat {
+            (calib.heartbeat_cost, calib.heartbeat_path_send)
+        } else {
+            (calib.submit_cost(bytes), calib.kernel_path_send)
+        };
+        self.cpu += handler + path;
+        let hop = Hop {
+            from: self.node,
+            to,
+        };
+        self.sends.push((hop, ev, bytes));
+        (handler, bytes)
+    }
+
+    /// Hand over the planned frames and their CPU, leaving both empty.
+    fn take(&mut self) -> (Vec<PlannedSend>, SimDur) {
+        (
+            std::mem::take(&mut self.sends),
+            std::mem::take(&mut self.cpu),
+        )
+    }
+}
+
+/// The `/proc` handle cached in `slot`, interning `path()` on first use:
+/// a file's path is formatted once, every later write goes through the
+/// handle.
+fn cached_handle(
+    slot: &mut Option<ProcHandle>,
+    host: &mut Host,
+    path: impl FnOnce() -> String,
+) -> ProcHandle {
+    *slot.get_or_insert_with(|| host.proc.intern(&path()).expect("cluster path"))
+}
+
 /// What one polling iteration wants the glue to do.
 #[derive(Debug)]
 pub struct PollOutcome {
@@ -227,9 +307,8 @@ struct FilterMemo {
 /// A filter admitted at deploy time, with everything the per-poll path
 /// needs pre-resolved at admission: the dense memo id, the specialized
 /// closure (when the register compiler accepted the chunk), and the
-/// memo class already folded with the fingerprint-collision
-/// quarantine. The poll path never re-hashes source text or re-reads
-/// the certificate.
+/// certificate's memo class. The poll path never re-hashes source text
+/// or re-reads the certificate.
 struct DeployedFilter {
     filter: Filter,
     /// Dense per-node filter id — the memo key. Assigned per distinct
@@ -237,8 +316,7 @@ struct DeployedFilter {
     id: u32,
     /// Specialized register closure; `None` ⇒ interpreter fallback.
     compiled: Option<CompiledFilter>,
-    /// Effect-certificate memo class, demoted to `Bypass` at deploy
-    /// time when the source's fingerprint is collision-tainted.
+    /// Effect-certificate memo class.
     memo_class: MemoClass,
 }
 
@@ -253,22 +331,6 @@ impl DeployedFilter {
             None => self.filter.run(inputs),
         }
     }
-}
-
-/// FNV-1a over a filter's source — a cheap, deterministic fingerprint
-/// used only at deploy time. Distinct deployed sources with colliding
-/// fingerprints are quarantined in [`DMon::fp_tainted`], which demotes
-/// the deployment's memo class to `Bypass` at admission; the per-poll
-/// memo itself keys on dense filter ids (one per distinct source), so
-/// a clash costs VM runs, never wrong data — and costs nothing on the
-/// poll path.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
 }
 
 /// Data-plane stretch multiplier per degradation-ladder level: at level
@@ -507,7 +569,9 @@ pub struct DMon {
     /// Number of modules present at construction (the cluster-wide
     /// standard set); ids beyond this need schema info on the wire.
     base_modules: usize,
-    seq: u64,
+    /// Frames the current step has planned, the CPU they cost, and the
+    /// publisher sequence counter.
+    out: Outbound,
     /// This node's incarnation; bumped by [`DMon::on_revive`] so peers can
     /// tell a restart from a gap.
     epoch: u32,
@@ -539,25 +603,12 @@ pub struct DMon {
     detail_buf: String,
     /// Scratch needed-modules mask, reused across polls.
     needed_buf: Vec<bool>,
-    /// Scratch credit-grant list, reused across polls.
-    grant_buf: Vec<(NodeId, u32)>,
-    /// Spare `PollOutcome::sends` vector, returned by the glue via
-    /// [`DMon::recycle_sends`] after transmitting so the steady-state
-    /// poll allocates no fresh send list.
-    send_buf: Vec<PlannedSend>,
     /// Per-poll filter memo table (cleared at the top of every poll).
     memo: Vec<FilterMemo>,
     /// SoA arena backing the memo entries' record spans, cleared with
     /// the memo. Filter outputs are materialized here once per distinct
     /// run; per-subscriber payloads gather spans out of it.
     record_arena: kecho::RecordArena,
-    /// Source text per deployed-filter fingerprint, kept to detect FNV
-    /// collisions between *distinct* sources at deploy time. Bounded by
-    /// the number of distinct filter sources ever deployed here.
-    fp_sources: BTreeMap<u64, String>,
-    /// Fingerprints two distinct sources have hashed to. The memo skips
-    /// these permanently — correctness must not hinge on a 64-bit hash.
-    fp_tainted: BTreeSet<u64>,
     /// Whether this node's own uplink queue tail-dropped any frame since
     /// the previous poll. A local qdisc drop is the most direct overload
     /// evidence a node has — credit stalls can lag it by many polls when
@@ -618,7 +669,12 @@ impl DMon {
             next_filter_id: 0,
             peers,
             base_modules,
-            seq: 0,
+            out: Outbound {
+                node,
+                seq: 0,
+                sends: Vec::new(),
+                cpu: SimDur::ZERO,
+            },
             epoch: 0,
             stale_after: poll_period.mul_f64(3.0),
             dead_after: poll_period.mul_f64(8.0),
@@ -631,12 +687,8 @@ impl DMon {
             sample_buf: Vec::new(),
             detail_buf: String::new(),
             needed_buf: Vec::new(),
-            grant_buf: Vec::new(),
-            send_buf: Vec::new(),
             memo: Vec::new(),
             record_arena: kecho::RecordArena::new(),
-            fp_sources: BTreeMap::new(),
-            fp_tainted: BTreeSet::new(),
             wire_dropped_since_poll: false,
             ladder: 0,
             stall_run: 0,
@@ -976,48 +1028,43 @@ impl DMon {
         }
     }
 
-    /// Advance the failure detector to `now`: age every tracked peer,
-    /// refresh `/proc/cluster/<peer>/status`, and return peers newly
-    /// declared Dead.
+    /// Detector stage: age every tracked peer to `now`, refresh
+    /// `/proc/cluster/<peer>/status`, and return peers newly declared Dead
+    /// (the glue evicts them from the registry). An evicted subscriber's
+    /// stream is over: [`PeerState::reap`] says what goes.
     fn check_peers(&mut self, host: &mut Host, now: SimTime) -> Vec<NodeId> {
         let mut dead = Vec::new();
         let stats = &mut self.stats;
         let cluster_names = &self.cluster_names;
         let (stale_after, dead_after) = (self.stale_after, self.dead_after);
         for peer in &mut self.peers.slots {
-            let Some(health) = peer.health.as_mut() else {
+            let Some(mut health) = peer.health else {
                 continue;
             };
             let age = now.since(peer.last_heard);
-            if *health != PeerHealth::Dead {
+            if health != PeerHealth::Dead {
                 if age >= dead_after {
-                    *health = PeerHealth::Dead;
+                    health = PeerHealth::Dead;
                     stats.nodes_evicted += 1;
+                    stats.events_shed += peer.reap();
                     dead.push(NodeId(peer.id));
                 } else if age >= stale_after {
-                    if *health == PeerHealth::Fresh {
+                    if health == PeerHealth::Fresh {
                         stats.nodes_suspected += 1;
                     }
-                    *health = PeerHealth::Stale;
+                    health = PeerHealth::Stale;
                 }
                 // Past the stale bound at least one heartbeat interval
                 // has gone unanswered; count one miss per silent check.
                 if age >= stale_after {
                     stats.heartbeats_missed += 1;
                 }
+                peer.health = Some(health);
             }
-            let h = match peer.status_handle {
-                Some(h) => h,
-                None => {
-                    let name = &cluster_names[peer.id];
-                    let h = host
-                        .proc
-                        .intern(&format!("cluster/{name}/status"))
-                        .expect("status path");
-                    peer.status_handle = Some(h);
-                    h
-                }
-            };
+            let name = &cluster_names[peer.id];
+            let h = cached_handle(&mut peer.status_handle, host, || {
+                format!("cluster/{name}/status")
+            });
             // Piecewise assembly with the exact-output fast formatters;
             // equivalent to
             // `"{} last_update {:.3} age {:.3} epoch {}"` via `format!`.
@@ -1034,30 +1081,34 @@ impl DMon {
         dead
     }
 
-    /// Build a targeted control event from this node (allocates the next
-    /// sequence number).
-    pub fn make_control_event(
-        &mut self,
-        ctl_chan: ChannelId,
-        target: NodeId,
-        msg: ControlMsg,
-    ) -> Event {
-        self.seq += 1;
-        Event::control(ctl_chan.0, self.seq, self.node, target, msg)
-    }
-
     /// Hand back a drained [`PollOutcome::sends`] vector for reuse. The
     /// glue calls this after transmitting so the steady-state poll path
     /// never allocates a fresh send list.
     pub fn recycle_sends(&mut self, mut sends: Vec<PlannedSend>) {
         sends.clear();
-        self.send_buf = sends;
+        self.out.sends = sends;
     }
 
-    /// One polling iteration at `now`: collect, decide, build events.
-    /// Also drains pending `/proc` control-file writes on this host into
-    /// outgoing control events (that is how applications reach remote
-    /// d-mons).
+    /// Plan a reply to `to` on `ctl_chan` — e.g. the
+    /// [`ControlMsg::FilterRejected`] a [`DMon::on_control`] outcome
+    /// carries back to the subscriber. Returns the frame and the CPU its
+    /// submission costs.
+    pub fn plan_reply(
+        &mut self,
+        ctl_chan: ChannelId,
+        to: NodeId,
+        msg: ControlMsg,
+        calib: &Calib,
+    ) -> (PlannedSend, SimDur) {
+        self.out.emit(calib, ctl_chan, to, Payload::Control(msg));
+        let send = self.out.sends.pop().expect("frame just emitted");
+        (send, std::mem::take(&mut self.out.cpu))
+    }
+
+    /// One polling iteration at `now`, stage by stage: collect, age the
+    /// detector, publish to each subscriber, flush grants, replay
+    /// resyncs, drain control-file writes (that is how applications reach
+    /// remote d-mons), step the ladder, close.
     pub fn poll(
         &mut self,
         host: &mut Host,
@@ -1067,21 +1118,54 @@ impl DMon {
         now: SimTime,
         calib: &Calib,
     ) -> PollOutcome {
-        let mut cpu = SimDur::ZERO;
-        // Recycled by the glue via `recycle_sends` once transmitted, so
-        // the steady state reuses one send list per d-mon.
-        let mut sends: Vec<PlannedSend> = std::mem::take(&mut self.send_buf);
-        sends.clear();
         self.memo.clear();
         self.record_arena.clear();
+        let samples = self.collect(host, dir, mon_chan, now, calib);
+        let dead_peers = self.check_peers(host, now);
+        let stretch = LADDER_STRETCH[self.ladder as usize];
+        let data_poll = self.stats.iterations.is_multiple_of(stretch);
+        let mut stalled = false;
+        // Peers this detector already declared Dead get nothing — that
+        // is the point.
+        for sub in dir.subscribers(mon_chan) {
+            if sub != self.node && self.peer_health(sub) != Some(PeerHealth::Dead) {
+                stalled |= self.publish(sub, &samples, data_poll, mon_chan, now, calib);
+            }
+        }
+        self.sample_buf = samples;
+        self.flush_grants(ctl_chan, calib);
+        self.replay_resyncs(ctl_chan, calib);
+        self.drain_control_writes(host, ctl_chan, calib);
+        self.step_ladder(host, stalled);
+        self.out.cpu += calib.receive_poll_cost;
+        self.stats.iterations += 1;
+        self.stats.close_iteration(calib.receive_poll_cost);
+        let (sends, cpu_cost) = self.out.take();
+        PollOutcome {
+            sends,
+            cpu_cost,
+            dead_peers,
+            rejoin: !dir.is_subscribed(mon_chan, self.node),
+        }
+    }
 
-        // 1. Collect one sample per module some subscriber can actually
-        // consume (certified filter read sets prove the rest unread) and
-        // refresh local /proc views. The detail text is moved — not
-        // copied — into the interned /proc slot.
+    /// Collect stage: one sample per module some subscriber can actually
+    /// consume (certified filter read sets prove the rest unread), with
+    /// this node's own `/proc` views refreshed. The detail text is moved —
+    /// not copied — into the interned `/proc` slot. Skipped modules
+    /// sample as `None`.
+    fn collect(
+        &mut self,
+        host: &mut Host,
+        dir: &Directory,
+        mon_chan: ChannelId,
+        now: SimTime,
+        calib: &Calib,
+    ) -> Vec<Option<f64>> {
         let needed = self.needed_modules(dir, mon_chan);
         let mut samples: Vec<Option<f64>> = std::mem::take(&mut self.sample_buf);
         samples.clear();
+        let own = &self.cluster_names[self.node.0];
         for (i, (module, &need)) in self.modules.iter_mut().zip(&needed).enumerate() {
             if !need {
                 self.stats.modules_skipped += 1;
@@ -1091,19 +1175,10 @@ impl DMon {
             let mut detail = std::mem::take(&mut self.detail_buf);
             detail.clear();
             let value = module.collect(host, now, &mut detail);
-            cpu += calib.collect_per_module;
-            let h = match self.own_file_handles[i] {
-                Some(h) => h,
-                None => {
-                    let own = &self.cluster_names[self.node.0];
-                    let h = host
-                        .proc
-                        .intern(&format!("cluster/{own}/{}", module.file_name()))
-                        .expect("own cluster path");
-                    self.own_file_handles[i] = Some(h);
-                    h
-                }
-            };
+            self.out.cpu += calib.collect_per_module;
+            let h = cached_handle(&mut self.own_file_handles[i], host, || {
+                format!("cluster/{own}/{}", module.file_name())
+            });
             // Swap the assembled text into the /proc slot and keep the
             // displaced buffer for the next module — no copy, no alloc.
             self.detail_buf = host.proc.swap_handle(h, detail);
@@ -1113,244 +1188,185 @@ impl DMon {
             samples.push(Some(value));
         }
         self.needed_buf = needed;
-        let ctl_h = match self.own_ctl_handle {
-            Some(h) => h,
-            None => {
-                let own = &self.cluster_names[self.node.0];
-                let h = host
-                    .proc
-                    .intern(&format!("cluster/{own}/control"))
-                    .expect("own control path");
-                self.own_ctl_handle = Some(h);
-                h
-            }
-        };
+        let ctl_h = cached_handle(&mut self.own_ctl_handle, host, || {
+            format!("cluster/{own}/control")
+        });
         host.proc.handle_buf(ctl_h).clear();
+        samples
+    }
 
-        // 2. Age the failure detector: transitions, status files, and the
-        // peers to evict from the registry this iteration. An evicted
-        // subscriber's stream is over: `PeerState::reap` says what goes.
-        let dead_peers = self.check_peers(host, now);
-        for &peer in &dead_peers {
-            if let Some(p) = self.peers.get_mut(peer) {
-                self.stats.events_shed += p.reap();
-            }
+    /// Publish stage, for one live subscriber: parameters or a filter
+    /// decide what it gets; a stream with no data this round carries a
+    /// heartbeat instead, so silence-by-filter stays distinguishable from
+    /// death. Data passes through the subscriber's credit window first: a
+    /// payload is parked in the bounded outbox and only leaves when a
+    /// credit is available (oldest-first; overflow sheds oldest).
+    /// Heartbeats never consume credits — a stalled stream still proves
+    /// this node alive. Returns whether payloads stayed parked.
+    fn publish(
+        &mut self,
+        sub: NodeId,
+        samples: &[Option<f64>],
+        data_poll: bool,
+        mon_chan: ChannelId,
+        now: SimTime,
+        calib: &Calib,
+    ) -> bool {
+        let mut records = if data_poll {
+            self.select_records(sub, samples, now, calib)
+        } else {
+            // Stretched-away poll: the ladder trades update rate for
+            // relief; liveness rides on heartbeats below.
+            Vec::new()
+        };
+        // Ladder levels 2+ coarsen: only meaningfully-changed samples
+        // survive. Levels 3+ shed low-priority modules entirely; the top
+        // level keeps a single-metric digest.
+        if self.ladder >= 2 {
+            records.retain(|r| {
+                (r.value - r.last_value_sent).abs() > LADDER_DELTA_GATE * r.last_value_sent.abs()
+            });
         }
-
-        // 3. Per subscriber: parameters or filter decide what to send; a
-        // stream with no data this round carries a heartbeat instead, so
-        // silence-by-filter stays distinguishable from death. Peers this
-        // detector already declared Dead get nothing — that is the point.
-        //
-        // Data events pass through the subscriber's credit window first:
-        // a payload is parked in the bounded outbox and only leaves when
-        // a credit is available (oldest-first; overflow sheds oldest).
-        // Heartbeats never consume credits — a stalled stream still
-        // proves this node alive.
-        let stretch = LADDER_STRETCH[self.ladder as usize];
-        let data_poll = self.stats.iterations.is_multiple_of(stretch);
-        let mut stalled_any = false;
-        for sub in dir.subscribers(mon_chan) {
-            if sub == self.node || self.peer_health(sub) == Some(PeerHealth::Dead) {
-                continue;
+        if self.ladder >= 3 {
+            let keep = if self.ladder >= LADDER_TOP { 1 } else { 2 };
+            records.retain(|r| (r.metric_id as usize) < keep);
+        }
+        let p = self.peers.touch(sub).expect("subscriber in range");
+        if !records.is_empty() {
+            let row = &mut p.last_sent;
+            if row.len() < self.modules.len() {
+                row.resize(self.modules.len(), None);
             }
-            let mut records = if data_poll {
-                self.select_records(sub, &samples, now, calib, &mut cpu)
-            } else {
-                // Stretched-away poll: the ladder trades update rate for
-                // relief; liveness rides on heartbeats below.
+            for r in &records {
+                if let Some(slot) = row.get_mut(r.metric_id as usize) {
+                    *slot = Some((r.value, now));
+                }
+            }
+            // Records for run-time-registered modules carry their schema
+            // (metric + /proc file names) so any subscriber can interpret
+            // them — ECho's typed events, in miniature. The schema text
+            // lives in `ext_schema` (rebuilt on registration); the common
+            // all-base-modules case stays allocation-free.
+            let ext_names: Vec<(u32, String, String)> = if self.ext_schema.is_empty() {
                 Vec::new()
+            } else {
+                self.ext_schema
+                    .iter()
+                    .filter(|(id, _, _)| records.iter().any(|r| r.metric_id == *id))
+                    .cloned()
+                    .collect()
             };
-            // Ladder levels 2+ coarsen: only meaningfully-changed samples
-            // survive. Levels 3+ shed low-priority modules entirely; the
-            // top level keeps a single-metric digest.
-            if self.ladder >= 2 {
-                records.retain(|r| {
-                    (r.value - r.last_value_sent).abs()
-                        > LADDER_DELTA_GATE * r.last_value_sent.abs()
-                });
-            }
-            if self.ladder >= 3 {
-                let keep = if self.ladder >= LADDER_TOP { 1 } else { 2 };
-                records.retain(|r| (r.metric_id as usize) < keep);
-            }
-            let p = self.peers.touch(sub).expect("subscriber in range");
-            if !records.is_empty() {
-                let row = &mut p.last_sent;
-                if row.len() < self.modules.len() {
-                    row.resize(self.modules.len(), None);
-                }
-                for r in &records {
-                    if let Some(slot) = row.get_mut(r.metric_id as usize) {
-                        *slot = Some((r.value, now));
-                    }
-                }
-                // Records for run-time-registered modules carry their
-                // schema (metric + /proc file names) so any subscriber can
-                // interpret them — ECho's typed events, in miniature. The
-                // schema text lives in `ext_schema` (rebuilt on
-                // registration); the common all-base-modules case stays
-                // allocation-free.
-                let ext_names: Vec<(u32, String, String)> = if self.ext_schema.is_empty() {
-                    Vec::new()
-                } else {
-                    self.ext_schema
-                        .iter()
-                        .filter(|(id, _, _)| records.iter().any(|r| r.metric_id == *id))
-                        .cloned()
-                        .collect()
-                };
-                p.outbox.push_back(OutboxEntry { records, ext_names });
-                if p.outbox.len() > OUTBOX_CAP {
-                    let e = p.outbox.pop_front().expect("outbox over cap");
-                    kecho::put_record_buf(e.records);
-                    self.stats.events_shed += 1;
-                }
-            }
-            // Drain the outbox as far as credits allow. Sequence numbers
-            // are stamped here, at the actual send, so parked or shed
-            // payloads leave no hole in the stream.
-            // A tail-drop park is evidence about the uplink queue, not a
-            // standing verdict: it always expires (counting down here),
-            // after which the stream re-probes the path, so no external
-            // frame is ever required to reopen it. Holding the choke until
-            // a grant arrived would deadlock now that grants piggyback on
-            // reverse data — a peer with zero grant debt has no frame to
-            // unchoke with.
-            let choked = p.choke_park > 0;
-            if choked {
-                p.choke_park -= 1;
-            }
-            let mut sent_data = false;
-            while !choked && !p.outbox.is_empty() {
-                if !p.credit.try_consume() {
-                    break;
-                }
-                let e = p.outbox.pop_front().expect("checked non-empty");
-                self.seq += 1;
-                // Piggyback this node's grant debt for the reverse stream:
-                // a subscriber that also publishes tops its peers up on
-                // data it was sending anyway, so steady-state flow control
-                // in a bidirectional mesh adds no standalone Credit frames
-                // (which are charged per event by the NIC-interrupt
-                // interference model the Iperf probe reproduces). The wire
-                // byte is a *cumulative* counter, not the increment: if
-                // this frame tail-drops, the next surviving frame's byte
-                // re-delivers the grant, so a write-off here can never
-                // strand credits. Streams whose own spend toward the peer
-                // is going unacknowledged skip the attach — their bulk
-                // frames are probably dying, so the debt is left for the
-                // loss-immune priority-lane Credit frame instead.
-                if !p.credit.grant_overdue() {
-                    let mut grant = p.ungranted.min(u32::from(u8::MAX));
-                    if grant > 0 && p.grant_cum.wrapping_add(grant as u8) == 0 {
-                        // The counter never rests on 0 (0 on the wire
-                        // means "no grant info"): defer one credit so the
-                        // cursor arithmetic stays unambiguous.
-                        grant -= 1;
-                    }
-                    p.grant_cum = p.grant_cum.wrapping_add(grant as u8);
-                    p.ungranted -= grant;
-                }
-                let grant = u32::from(p.grant_cum);
-                let mut ev = Event::monitoring(
-                    mon_chan.0,
-                    self.seq,
-                    self.node,
-                    MonitoringPayload {
-                        origin: self.node,
-                        epoch: self.epoch,
-                        stream_seq: p.next_stream_seq(),
-                        credit_grant: grant,
-                        records: e.records,
-                        pad_bytes: self.event_pad,
-                        ext_names: e.ext_names,
-                    },
-                );
-                // Streams are customized per subscriber, so every
-                // monitoring event is addressed — the central-concentrator
-                // topology needs the final destination to relay.
-                ev.target = Some(sub);
-                let bytes = kecho::wire::encoded_size(&ev);
-                let handler = calib.submit_cost(bytes);
-                cpu += handler + calib.kernel_path_send;
-                self.stats.events_sent += 1;
-                self.stats.bytes_sent += bytes as u64;
-                self.stats.submit_cost_partial(handler);
-                p.sent += 1;
-                p.last_send = Some(now);
-                sent_data = true;
-                sends.push((
-                    Hop {
-                        from: self.node,
-                        to: sub,
-                    },
-                    ev,
-                    bytes,
-                ));
-            }
-            if !p.outbox.is_empty() {
-                self.stats.credits_stalled += 1;
-                stalled_any = true;
-            }
-            // A grant is overdue when the stream has spent well past the
-            // grant threshold without hearing back — the subscriber has
-            // stopped absorbing, which under bounded link queues means
-            // the data frames are probably dying in the network. Data
-            // sends normally substitute for heartbeats, but frames that
-            // never arrive prove nothing: pair the stream with explicit
-            // priority-lane heartbeats until a grant lands, so the
-            // subscriber keeps its liveness proof (and its gap
-            // accounting) however lossy the bulk lane is.
-            let overdue = p.credit.grant_overdue();
-            if !sent_data || overdue {
-                // Heartbeats are rate-limited to `heartbeat_every`, not
-                // one per poll: a preformatted liveness packet only needs
-                // to outpace the peer's stale bound, and Figs. 4/6 depend
-                // on filtered streams staying nearly free. A
-                // credit-stalled stream reaches here too — the subscriber
-                // keeps hearing the publisher is alive even while it
-                // cannot absorb data. An overdue stream skips the rate
-                // limit: its own data sends reset the silence clock while
-                // proving nothing.
-                let silence = p.last_send.map_or(SimDur::MAX, |t| now.since(t));
-                if !overdue && silence < self.heartbeat_every {
-                    continue;
-                }
-                self.seq += 1;
-                let ev = Event::heartbeat(
-                    mon_chan.0,
-                    self.seq,
-                    self.node,
-                    sub,
-                    HeartbeatPayload {
-                        origin: self.node,
-                        epoch: self.epoch,
-                        stream_seq: p.next_stream_seq(),
-                    },
-                );
-                let bytes = kecho::wire::encoded_size(&ev);
-                cpu += calib.heartbeat_cost + calib.heartbeat_path_send;
-                self.stats.heartbeats_sent += 1;
-                p.sent += 1;
-                p.last_send = Some(now);
-                sends.push((
-                    Hop {
-                        from: self.node,
-                        to: sub,
-                    },
-                    ev,
-                    bytes,
-                ));
+            p.outbox.push_back(OutboxEntry { records, ext_names });
+            if p.outbox.len() > OUTBOX_CAP {
+                let e = p.outbox.pop_front().expect("outbox over cap");
+                kecho::put_record_buf(e.records);
+                self.stats.events_shed += 1;
             }
         }
+        // Drain the outbox as far as credits allow. Sequence numbers are
+        // stamped here, at the actual send, so parked or shed payloads
+        // leave no hole in the stream.
+        // A tail-drop park is evidence about the uplink queue, not a
+        // standing verdict: it always expires (counting down here), after
+        // which the stream re-probes the path, so no external frame is
+        // ever required to reopen it. Holding the choke until a grant
+        // arrived would deadlock now that grants piggyback on reverse data
+        // — a peer with zero grant debt has no frame to unchoke with.
+        let choked = p.choke_park > 0;
+        if choked {
+            p.choke_park -= 1;
+        }
+        let mut sent_data = false;
+        while !choked && !p.outbox.is_empty() {
+            if !p.credit.try_consume() {
+                break;
+            }
+            let e = p.outbox.pop_front().expect("checked non-empty");
+            // Piggyback this node's grant debt for the reverse stream: a
+            // subscriber that also publishes tops its peers up on data it
+            // was sending anyway, so steady-state flow control in a
+            // bidirectional mesh adds no standalone Credit frames (which
+            // are charged per event by the NIC-interrupt interference
+            // model the Iperf probe reproduces). The wire byte is a
+            // *cumulative* counter, not the increment: if this frame
+            // tail-drops, the next surviving frame's byte re-delivers the
+            // grant, so a write-off here can never strand credits. Streams
+            // whose own spend toward the peer is going unacknowledged skip
+            // the attach — their bulk frames are probably dying, so the
+            // debt is left for the loss-immune priority-lane Credit frame
+            // instead.
+            if !p.credit.grant_overdue() {
+                let mut grant = p.ungranted.min(u32::from(u8::MAX));
+                if grant > 0 && p.grant_cum.wrapping_add(grant as u8) == 0 {
+                    // The counter never rests on 0 (0 on the wire means
+                    // "no grant info"): defer one credit so the cursor
+                    // arithmetic stays unambiguous.
+                    grant -= 1;
+                }
+                p.grant_cum = p.grant_cum.wrapping_add(grant as u8);
+                p.ungranted -= grant;
+            }
+            // Streams are customized per subscriber, so every monitoring
+            // event is addressed — the central-concentrator topology needs
+            // the final destination to relay.
+            let payload = Payload::Monitoring(MonitoringPayload {
+                origin: self.node,
+                epoch: self.epoch,
+                stream_seq: p.next_stream_seq(),
+                credit_grant: u32::from(p.grant_cum),
+                records: e.records,
+                pad_bytes: self.event_pad,
+                ext_names: e.ext_names,
+            });
+            let (handler, bytes) = self.out.emit(calib, mon_chan, sub, payload);
+            self.stats.events_sent += 1;
+            self.stats.bytes_sent += bytes as u64;
+            self.stats.submit_cost_partial(handler);
+            p.sent += 1;
+            p.last_send = Some(now);
+            sent_data = true;
+        }
+        let stalled = !p.outbox.is_empty();
+        if stalled {
+            self.stats.credits_stalled += 1;
+        }
+        // A grant is overdue when the stream has spent well past the grant
+        // threshold without hearing back — the subscriber has stopped
+        // absorbing, which under bounded link queues means the data frames
+        // are probably dying in the network. Data sends normally
+        // substitute for heartbeats, but frames that never arrive prove
+        // nothing: pair the stream with explicit priority-lane heartbeats
+        // until a grant lands, so the subscriber keeps its liveness proof
+        // (and its gap accounting) however lossy the bulk lane is.
+        let overdue = p.credit.grant_overdue();
+        // Heartbeats are rate-limited to `heartbeat_every`, not one per
+        // poll: a preformatted liveness packet only needs to outpace the
+        // peer's stale bound, and Figs. 4/6 depend on filtered streams
+        // staying nearly free. A credit-stalled stream heartbeats too —
+        // the subscriber keeps hearing the publisher is alive even while
+        // it cannot absorb data. An overdue stream skips the rate limit:
+        // its own data sends reset the silence clock while proving
+        // nothing.
+        let silence = p.last_send.map_or(SimDur::MAX, |t| now.since(t));
+        if overdue || (!sent_data && silence >= self.heartbeat_every) {
+            let payload = Payload::Heartbeat(HeartbeatPayload {
+                origin: self.node,
+                epoch: self.epoch,
+                stream_seq: p.next_stream_seq(),
+            });
+            self.out.emit(calib, mon_chan, sub, payload);
+            self.stats.heartbeats_sent += 1;
+            p.sent += 1;
+            p.last_send = Some(now);
+        }
+        stalled
+    }
 
-        // 3b. Subscriber side of flow control: top up publishers whose
-        // data this node has absorbed since its last grant. Decided at
-        // poll time (not per arrival), so grants are replay-safe and
-        // batch to about one control frame per window half.
-        let mut grants: Vec<(NodeId, u32)> = std::mem::take(&mut self.grant_buf);
-        grants.clear();
+    /// Grant stage, the subscriber side of flow control: top up
+    /// publishers whose data this node has absorbed since its last grant.
+    /// Decided at poll time (not per arrival), so grants are replay-safe
+    /// and batch to about one control frame per window half.
+    fn flush_grants(&mut self, ctl_chan: ChannelId, calib: &Calib) {
         for p in &mut self.peers.slots {
             // Batch absorbed-data grants behind the threshold — but flush
             // any remainder when the publisher's data stream has gone
@@ -1366,85 +1382,63 @@ impl DMon {
                 0
             };
             // Loss repayments ship immediately, never batched: they exist
-            // precisely while the publisher's bulk frames are dying, when
-            // a starved window is the bottleneck and a piggybacked grant
+            // precisely while the publisher's bulk frames are dying, when a
+            // starved window is the bottleneck and a piggybacked grant
             // would die with its carrier. The standalone frame rides the
             // priority lane, so it is loss-immune.
             let credits = absorbed + p.repay;
             if credits > 0 {
-                grants.push((NodeId(p.id), credits));
                 p.ungranted -= absorbed;
                 p.repay = 0;
+                let msg = ControlMsg::Credit { credits };
+                self.out
+                    .emit(calib, ctl_chan, NodeId(p.id), Payload::Control(msg));
             }
         }
-        for (publisher, credits) in grants.drain(..) {
-            self.seq += 1;
-            let ev = Event::control(
-                ctl_chan.0,
-                self.seq,
-                self.node,
-                publisher,
-                ControlMsg::Credit { credits },
-            );
-            let bytes = kecho::wire::encoded_size(&ev);
-            cpu += calib.submit_cost(bytes) + calib.kernel_path_send;
-            sends.push((
-                Hop {
-                    from: self.node,
-                    to: publisher,
-                },
-                ev,
-                bytes,
-            ));
-        }
+    }
 
-        // 4. Resync recovered publishers: replay the customizations this
-        // node had deployed on them (their volatile state died with them).
+    /// Resync stage: replay the customizations this node had deployed on
+    /// recovered publishers (their volatile state died with them).
+    fn replay_resyncs(&mut self, ctl_chan: ChannelId, calib: &Calib) {
         for peer in std::mem::take(&mut self.pending_resync) {
             self.stats.resyncs += 1;
-            let log = self.peers.get(peer).map(|p| p.deployed_ctl.clone());
-            for msg in log.unwrap_or_default() {
-                self.seq += 1;
-                let ev = Event::control(ctl_chan.0, self.seq, self.node, peer, msg);
-                let bytes = kecho::wire::encoded_size(&ev);
-                cpu += calib.submit_cost(bytes) + calib.kernel_path_send;
-                sends.push((
-                    Hop {
-                        from: self.node,
-                        to: peer,
-                    },
-                    ev,
-                    bytes,
-                ));
+            let Some(p) = self.peers.get(peer) else {
+                continue;
+            };
+            for msg in &p.deployed_ctl {
+                self.out
+                    .emit(calib, ctl_chan, peer, Payload::Control(msg.clone()));
             }
         }
+    }
 
-        // 5. Drain application control-file writes into control events.
+    /// Control stage: drain application control-file writes into control
+    /// events (or apply them locally when they target this node).
+    fn drain_control_writes(&mut self, host: &mut Host, ctl_chan: ChannelId, calib: &Calib) {
         for (path, data) in host.proc.drain_writes() {
-            match self.route_control_write(&path, &data, ctl_chan, calib) {
-                Ok(Some((hop, ev))) => {
-                    let bytes = kecho::wire::encoded_size(&ev);
-                    cpu += calib.submit_cost(bytes) + calib.kernel_path_send;
-                    sends.push((hop, ev, bytes));
-                }
-                Ok(None) => {} // applied locally
-                Err(()) => self.stats.control_errors += 1,
+            if self
+                .route_control_write(&path, &data, ctl_chan, calib)
+                .is_err()
+            {
+                self.stats.control_errors += 1;
             }
         }
+    }
 
-        // 5b. Degradation ladder: sustained credit stalls step this node
-        // down one level at a time (stretch the update period → coarsen
-        // thresholds → drop low-priority modules → summary-only digest);
-        // stepping back up needs a hysteresis run of clear polls AND fully
-        // drained outboxes, so a borderline load cannot flap the level.
+    /// Ladder stage: sustained credit stalls step this node down one level
+    /// at a time (stretch the update period → coarsen thresholds → drop
+    /// low-priority modules → summary-only digest); stepping back up needs
+    /// a hysteresis run of clear polls AND fully drained outboxes, so a
+    /// borderline load cannot flap the level. Refreshes
+    /// `cluster/<own>/overload`.
+    fn step_ladder(&mut self, host: &mut Host, stalled: bool) {
         let outboxes_empty = self.peers.slots.iter().all(|p| p.outbox.is_empty());
         // A poll marred by a local uplink tail-drop counts as stalled even
         // if every outbox drained: the NIC is refusing this node's own
         // output, which is overload however healthy the credit windows
         // still look (grant trickle from delivered frames can hold them
         // half-open for many polls).
-        let stalled_any = stalled_any || std::mem::take(&mut self.wire_dropped_since_poll);
-        if stalled_any {
+        if stalled || std::mem::take(&mut self.wire_dropped_since_poll) {
             self.stall_run += 1;
             self.clear_run = 0;
         } else {
@@ -1461,18 +1455,10 @@ impl DMon {
             self.stats.ladder_transitions += 1;
             self.clear_run = 0;
         }
-        let oh = match self.overload_handle {
-            Some(h) => h,
-            None => {
-                let own = &self.cluster_names[self.node.0];
-                let h = host
-                    .proc
-                    .intern(&format!("cluster/{own}/overload"))
-                    .expect("own overload path");
-                self.overload_handle = Some(h);
-                h
-            }
-        };
+        let own = &self.cluster_names[self.node.0];
+        let oh = cached_handle(&mut self.overload_handle, host, || {
+            format!("cluster/{own}/overload")
+        });
         let buf = host.proc.handle_buf(oh);
         buf.clear();
         buf.push_str("level ");
@@ -1483,19 +1469,6 @@ impl DMon {
         fastfmt::push_u64(buf, self.stats.credits_stalled);
         buf.push_str(" ladder_transitions ");
         fastfmt::push_u64(buf, self.stats.ladder_transitions);
-
-        // 6. Close the iteration's books.
-        self.grant_buf = grants;
-        self.sample_buf = samples;
-        cpu += calib.receive_poll_cost;
-        self.stats.iterations += 1;
-        self.stats.close_iteration(calib.receive_poll_cost);
-        PollOutcome {
-            sends,
-            cpu_cost: cpu,
-            dead_peers,
-            rejoin: !dir.is_subscribed(mon_chan, self.node),
-        }
     }
 
     /// Which modules at least one remote subscriber's stream can consume.
@@ -1537,32 +1510,10 @@ impl DMon {
         needed
     }
 
-    /// Record a deployed filter source's fingerprint and report whether
-    /// it is (now) collision-tainted. When two distinct sources ever
-    /// hash to the same FNV-1a value on this node, the fingerprint is
-    /// permanently tainted and deployments under it are demoted to
-    /// `MemoClass::Bypass` at admission — sharing must rest on the
-    /// effect certificate, never on a 64-bit hash being collision-free.
-    /// This runs at deploy time only; the poll path keys the memo on
-    /// dense filter ids and never hashes source text.
-    fn note_filter_fingerprint(&mut self, source: &str) -> bool {
-        let fp = fnv1a(source.as_bytes());
-        match self.fp_sources.get(&fp) {
-            None => {
-                self.fp_sources.insert(fp, source.to_string());
-            }
-            Some(prev) if prev == source => {}
-            Some(_) => {
-                self.fp_tainted.insert(fp);
-            }
-        }
-        self.fp_tainted.contains(&fp)
-    }
-
     /// Dense per-node id for a filter source, assigned at admission.
     /// Identical sources share an id — that is what lets the per-poll
     /// memo share their runs on a u32 compare — while distinct sources
-    /// never do, even under a fingerprint collision.
+    /// never do.
     fn filter_id_for(&mut self, source: &str) -> u32 {
         if let Some(&id) = self.filter_ids.get(source) {
             return id;
@@ -1573,19 +1524,13 @@ impl DMon {
         id
     }
 
-    /// Install an admitted filter for `sub`: assign its dense id, fold
-    /// the collision quarantine into its memo class, and specialize it
-    /// into a register closure (interpreter fallback when the lowering
-    /// declines the chunk). Everything the poll path needs is decided
-    /// here, once.
+    /// Install an admitted filter for `sub`: assign its dense id, read
+    /// its memo class, and specialize it into a register closure
+    /// (interpreter fallback when the lowering declines the chunk).
+    /// Everything the poll path needs is decided here, once.
     fn install_filter(&mut self, sub: NodeId, f: Filter) {
-        let tainted = self.note_filter_fingerprint(f.source());
         let id = self.filter_id_for(f.source());
-        let memo_class = if tainted {
-            MemoClass::Bypass
-        } else {
-            f.cert().effects.memo
-        };
+        let memo_class = f.cert().effects.memo;
         let compiled = compile_filter(&f);
         match compiled {
             Some(_) => self.stats.filters_compiled += 1,
@@ -1608,7 +1553,6 @@ impl DMon {
         samples: &[Option<f64>],
         now: SimTime,
         calib: &Calib,
-        cpu: &mut SimDur,
     ) -> Vec<MonRecord> {
         let peer = self.peers.get(sub);
         if let Some(df) = peer.and_then(|p| p.filter.as_deref()) {
@@ -1628,10 +1572,10 @@ impl DMon {
                     timestamp: now.as_secs_f64(),
                 });
             }
-            // The memo class (collision quarantine included) and the
-            // dense memo id were folded at deploy time, so deciding how
-            // this run may be shared with other subscribers within the
-            // poll costs a field read. The modeled cost is still charged
+            // The memo class and the dense memo id were resolved at
+            // deploy time, so deciding how this run may be shared with
+            // other subscribers within the poll costs a field read. The
+            // modeled cost is still charged
             // per logical run — the figures measure what a kernel would
             // spend, not what the memo saves the simulator.
             // One encode: a run's accepted records are pushed into the
@@ -1683,7 +1627,7 @@ impl DMon {
             self.filter_inputs = inputs;
             match result {
                 Some((span, instructions)) => {
-                    *cpu += calib.ecode_instr * instructions;
+                    self.out.cpu += calib.ecode_instr * instructions;
                     // N enqueues: gather the span into a pooled payload
                     // buffer — a columnar copy, no allocation in steady
                     // state.
@@ -1722,12 +1666,12 @@ impl DMon {
                 };
                 let admit = match policy {
                     Some(p) => {
-                        *cpu +=
+                        self.out.cpu +=
                             calib.policy_eval * (p.rule_count(module.metric_name()).max(1) as u64);
                         p.decide(module.metric_name(), &ctx)
                     }
                     None => {
-                        *cpu += calib.policy_eval;
+                        self.out.cpu += calib.policy_eval;
                         true
                     }
                 };
@@ -1752,7 +1696,7 @@ impl DMon {
         data: &str,
         ctl_chan: ChannelId,
         calib: &Calib,
-    ) -> Result<Option<(Hop, Event)>, ()> {
+    ) -> Result<(), ()> {
         // Expected: cluster/<name>/control
         let parts: Vec<&str> = path.split('/').collect();
         let ["cluster", name, "control"] = parts[..] else {
@@ -1779,18 +1723,12 @@ impl DMon {
                 // rejection reply is applied locally too.
                 self.on_control(self.node, &reply, calib);
             }
-            return Ok(None);
+            return Ok(());
         }
         self.record_deployment(target, &msg);
-        self.seq += 1;
-        let ev = Event::control(ctl_chan.0, self.seq, self.node, target, msg);
-        Ok(Some((
-            Hop {
-                from: self.node,
-                to: target,
-            },
-            ev,
-        )))
+        self.out
+            .emit(calib, ctl_chan, target, Payload::Control(msg));
+        Ok(())
     }
 
     /// Remember a customization sent to `target` so it can be replayed in
@@ -1918,18 +1856,10 @@ impl DMon {
             if handles.len() <= id {
                 handles.resize(id + 1, None);
             }
-            let h = match handles[id] {
-                Some(h) => h,
-                None => {
-                    let origin_name = &self.cluster_names[origin.0];
-                    let h = host
-                        .proc
-                        .intern(&format!("cluster/{origin_name}/{file}"))
-                        .expect("cluster path");
-                    handles[id] = Some(h);
-                    h
-                }
-            };
+            let origin_name = &self.cluster_names[origin.0];
+            let h = cached_handle(&mut handles[id], host, || {
+                format!("cluster/{origin_name}/{file}")
+            });
             // Piecewise assembly with the exact-output fast formatters;
             // equivalent to `"{} {} ts {:.3}"` via `format!`.
             let buf = host.proc.handle_buf(h);
@@ -2085,8 +2015,9 @@ impl DMon {
     /// summaries, not streams — they carry no `stream_seq`, consume no
     /// credits, and skip the outbox: a lost digest is simply superseded
     /// by the next one, so the whole credit/loss machinery would only add
-    /// latency. Returns the planned sends plus the CPU cost to charge;
-    /// `None` while no member has produced a sample yet.
+    /// latency. Returns the planned sends plus the CPU cost to charge
+    /// (hand the sends back through [`DMon::recycle_sends`]); `None` while
+    /// no member has produced a sample yet.
     pub fn poll_digest(
         &mut self,
         dir: &Directory,
@@ -2107,7 +2038,6 @@ impl DMon {
             );
             n_metrics
         ];
-        let mut cpu = SimDur::ZERO;
         let mut member_count = 0u32;
         for m in members {
             let mut contributed = false;
@@ -2134,7 +2064,7 @@ impl DMon {
             }
             // The fold reads the same per-member state a policy check
             // would; charge it at the policy-evaluation rate.
-            cpu += calib.policy_eval;
+            self.out.cpu += calib.policy_eval;
         }
         let records: Vec<DigestRecord> = acc
             .iter()
@@ -2158,29 +2088,18 @@ impl DMon {
             members: member_count,
             records,
         };
-        let mut sends = Vec::new();
+        // Digest consumers are enumerated per send (like monitoring
+        // streams), so the central-concentrator topology can relay.
         for sub in dir.subscribers(digest_chan) {
-            if sub == self.node {
-                continue;
+            if sub != self.node {
+                let digest = Payload::Digest(payload.clone());
+                self.out.emit(calib, digest_chan, sub, digest);
+                self.stats.digests_sent += 1;
             }
-            self.seq += 1;
-            let mut ev = Event::digest(digest_chan.0, self.seq, self.node, payload.clone());
-            // Digest consumers are enumerated per send (like monitoring
-            // streams), so the central-concentrator topology can relay.
-            ev.target = Some(sub);
-            let bytes = kecho::wire::encoded_size(&ev);
-            cpu += calib.submit_cost(bytes) + calib.kernel_path_send;
-            self.stats.digests_sent += 1;
-            sends.push((
-                Hop {
-                    from: self.node,
-                    to: sub,
-                },
-                ev,
-                bytes,
-            ));
         }
+        let (sends, cpu) = self.out.take();
         if sends.is_empty() {
+            self.out.sends = sends;
             return None;
         }
         Some((sends, cpu))
@@ -3295,7 +3214,7 @@ mod tests {
     }
 
     #[test]
-    fn non_emitting_filter_memoizes_on_fingerprint_alone() {
+    fn non_emitting_filter_memoizes_on_filter_id_alone() {
         let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
         for sub in [NodeId(1), NodeId(2)] {
             dmon.on_control(
@@ -3314,51 +3233,9 @@ mod tests {
         assert_eq!(dmon.memo.len(), 1);
         assert!(
             dmon.memo[0].inputs.is_empty(),
-            "fingerprint-only entries never clone the input snapshot"
+            "id-only entries never clone the input snapshot"
         );
         assert_eq!(dmon.stats.memo_bypassed, 0);
-    }
-
-    #[test]
-    fn tainted_fingerprint_disables_sharing() {
-        let (mut dmon, mut host, dir, mon, ctl, calib) = setup();
-        // Simulate an FNV collision between distinct sources: a real one
-        // is infeasible to construct, so file a different source under
-        // PURE_SRC's fingerprint before it deploys. Admission detects
-        // the collision and demotes the deployment to Bypass — the
-        // quarantine is a deploy-time decision, never a per-poll check.
-        dmon.fp_sources
-            .insert(fnv1a(PURE_SRC.as_bytes()), "{ something else }".into());
-        for sub in [NodeId(1), NodeId(2)] {
-            dmon.on_control(
-                sub,
-                &ControlMsg::DeployFilter {
-                    source: PURE_SRC.into(),
-                },
-                &calib,
-            );
-        }
-        dmon.poll(&mut host, &dir, mon, ctl, SimTime::from_secs(1), &calib);
-        assert!(dmon.memo.is_empty());
-        assert_eq!(dmon.stats.memo_bypassed, 2);
-    }
-
-    #[test]
-    fn fingerprint_collision_detection_is_exact() {
-        let (mut dmon, _host, _dir, _mon, _ctl, _calib) = setup();
-        assert!(!dmon.note_filter_fingerprint("{ int a = 1; }"));
-        // Same source again: no taint.
-        assert!(!dmon.note_filter_fingerprint("{ int a = 1; }"));
-        assert!(dmon.fp_tainted.is_empty());
-        // A different source with a different fingerprint: no taint.
-        assert!(!dmon.note_filter_fingerprint("{ int b = 2; }"));
-        assert!(dmon.fp_tainted.is_empty());
-        // Force the pathological case: a second source filed under the
-        // first one's fingerprint.
-        let fp = fnv1a(b"{ int a = 1; }");
-        dmon.fp_sources.insert(fp, "{ something else }".into());
-        assert!(dmon.note_filter_fingerprint("{ int a = 1; }"));
-        assert!(dmon.fp_tainted.contains(&fp));
     }
 
     #[test]
@@ -3384,8 +3261,7 @@ mod tests {
             },
             &calib,
         );
-        // Distinct sources never share an id, even if their
-        // fingerprints were to collide.
+        // Distinct sources never share an id.
         assert_ne!(id(&dmon, NodeId(1)), id(&dmon, NodeId(2)));
         // Every admission was specialized into a register closure.
         assert_eq!(dmon.stats.filters_compiled, 3);

@@ -26,15 +26,15 @@
 //! first, and any entry at a lower level strictly precedes every entry at a
 //! higher level or in the overflow map.
 //!
-//! # The typed message lane
+//! # Typed messages
 //!
 //! Boxed closures are flexible but cost one heap allocation per scheduled
 //! event — ruinous on the hot path, where three event kinds (poll tick,
 //! service completion, delivery) account for nearly every firing. The
-//! second type parameter `Sim<W, M>` opens an allocation-free lane: plain
-//! `M` values live in their own wheel, share the single sequence counter
-//! with the closure wheel (so the two lanes interleave in exactly the
-//! `(time, seq)` order they were scheduled in), and dispatch through
+//! second type parameter `Sim<W, M>` admits allocation-free events: plain
+//! `M` values queue in the same wheel as closures, under the same
+//! sequence counter (so the two kinds fire in exactly the `(time, seq)`
+//! order they were scheduled in), and dispatch through
 //! [`HandleMsg::handle`] instead of a boxed call. `M` defaults to `()`,
 //! for which a blanket [`HandleMsg`] impl exists, so `Sim<W>` users are
 //! untouched.
@@ -63,10 +63,10 @@ pub enum Repeat {
 type EventFn<W, M> = Box<dyn FnOnce(&mut W, &mut Sim<W, M>)>;
 type PeriodicFn<W, M> = Box<dyn FnMut(&mut W, &mut Sim<W, M>) -> Repeat>;
 
-/// Dispatch for the typed message lane: the world receives each popped
-/// `M` with exclusive access to the scheduler, mirroring the closure
-/// calling convention. The blanket impl for `M = ()` makes the lane
-/// invisible to worlds that never use it.
+/// Dispatch for typed messages: the world receives each popped `M` with
+/// exclusive access to the scheduler, mirroring the closure calling
+/// convention. The blanket impl for `M = ()` makes messages invisible to
+/// worlds that never use them.
 pub trait HandleMsg<M>: Sized {
     /// Handle one message fired at the current simulation time.
     fn handle(&mut self, sim: &mut Sim<Self, M>, msg: M);
@@ -104,8 +104,7 @@ struct Entry<T> {
 }
 
 /// The hierarchical timer wheel, generic over the event payload `T` —
-/// boxed closures for [`Sim`]'s closure lane, plain message values for its
-/// typed lane.
+/// [`Sim`] queues a boxed closure or a typed message per entry.
 ///
 /// Invariants (checked by debug asserts, relied on by `pop_min_if`):
 /// - every pending entry satisfies `at >= cur`;
@@ -162,32 +161,6 @@ impl<T> Wheel<T> {
     pub(crate) fn insert(&mut self, at: u64, seq: u64, f: T) {
         self.place(Entry { at, seq, f });
         self.len += 1;
-    }
-
-    /// The earliest pending `(at, seq)` key without popping or advancing
-    /// the cursor. The lowest occupied level's earliest slot is guaranteed
-    /// to hold the global minimum: entries at level `l >= 1` store a digit
-    /// strictly greater than the cursor's, so they sort after everything at
-    /// lower levels, and within a level the earliest occupied slot holds
-    /// the smallest digit. Overflow entries differ from the cursor above
-    /// the horizon and therefore sort after every wheel resident.
-    pub(crate) fn next_key(&self) -> Option<(u64, u64)> {
-        for l in 0..LEVELS {
-            let m = self.occ[l];
-            if m == 0 {
-                continue;
-            }
-            let i = m.trailing_zeros() as usize;
-            let slot = &self.slots[l * SLOTS + i];
-            let mut best = (u64::MAX, u64::MAX);
-            for e in slot {
-                if (e.at, e.seq) < best {
-                    best = (e.at, e.seq);
-                }
-            }
-            return Some(best);
-        }
-        self.overflow.first_key_value().map(|(&k, _)| k)
     }
 
     /// Remove the entry `(at, seq)` in place. Returns `false` if it already
@@ -300,19 +273,18 @@ impl<T> Wheel<T> {
     }
 }
 
-/// What the merged pop pulled out: a boxed closure or a typed message.
+/// One queued event: a boxed closure or a typed message.
 enum Fired<W, M> {
     Closure(EventFn<W, M>),
     Msg(M),
 }
 
-/// A discrete-event simulation over world state `W`, with an optional
-/// allocation-free typed message lane `M` (see the module docs).
+/// A discrete-event simulation over world state `W`, with optional
+/// allocation-free typed messages `M` (see the module docs).
 pub struct Sim<W, M = ()> {
     now: SimTime,
     seq: u64,
-    wheel: Wheel<EventFn<W, M>>,
-    msgs: Wheel<M>,
+    queue: Wheel<Fired<W, M>>,
     executed: u64,
 }
 
@@ -328,8 +300,7 @@ impl<W, M> Sim<W, M> {
         Sim {
             now: SimTime::ZERO,
             seq: 0,
-            wheel: Wheel::new(),
-            msgs: Wheel::new(),
+            queue: Wheel::new(),
             executed: 0,
         }
     }
@@ -339,32 +310,45 @@ impl<W, M> Sim<W, M> {
         self.now
     }
 
-    /// Number of events waiting in the queue (both lanes). Exact:
-    /// cancelled events are removed from their slot in place, not
-    /// tombstoned.
+    /// Number of events waiting in the queue. Exact: cancelled events
+    /// are removed from their slot in place, not tombstoned.
     pub fn pending(&self) -> usize {
-        self.wheel.len + self.msgs.len
+        self.queue.len
     }
 
-    /// Pop whichever lane holds the earlier `(time, seq)` entry, if it is
-    /// at or before `bound`. The shared sequence counter makes keys
-    /// unique across lanes, so "earlier" is never ambiguous. The common
-    /// case — one lane empty — skips the double peek entirely.
-    fn pop_next(&mut self, bound: u64) -> Option<(u64, Fired<W, M>)> {
-        let use_msg = if self.msgs.len == 0 {
-            false
-        } else if self.wheel.len == 0 {
-            true
-        } else {
-            self.msgs.next_key() < self.wheel.next_key()
-        };
-        if use_msg {
-            let (at, _seq, m) = self.msgs.pop_min_if(bound)?;
-            Some((at, Fired::Msg(m)))
-        } else {
-            let (at, _seq, f) = self.wheel.pop_min_if(bound)?;
-            Some((at, Fired::Closure(f)))
+    /// Schedule one event under the next sequence number.
+    fn insert(&mut self, at: SimTime, ev: Fired<W, M>) -> EventId {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: at={at} now={}",
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.insert(at.as_nanos(), seq, ev);
+        EventId {
+            at: at.as_nanos(),
+            seq,
         }
+    }
+
+    /// Pop the earliest event at or before `bound`, advance the clock to
+    /// it, and run it.
+    fn fire_next(&mut self, world: &mut W, bound: u64) -> bool
+    where
+        W: HandleMsg<M>,
+    {
+        let Some((at, _seq, fired)) = self.queue.pop_min_if(bound) else {
+            return false;
+        };
+        debug_assert!(at >= self.now.as_nanos(), "event time regressed");
+        self.now = SimTime::from_nanos(at);
+        self.executed += 1;
+        match fired {
+            Fired::Closure(f) => f(world, self),
+            Fired::Msg(m) => world.handle(self, m),
+        }
+        true
     }
 
     /// Total number of events executed so far.
@@ -379,18 +363,7 @@ impl<W, M> Sim<W, M> {
         at: SimTime,
         f: impl FnOnce(&mut W, &mut Sim<W, M>) + 'static,
     ) -> EventId {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at} now={}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.wheel.insert(at.as_nanos(), seq, Box::new(f));
-        EventId {
-            at: at.as_nanos(),
-            seq,
-        }
+        self.insert(at, Fired::Closure(Box::new(f)))
     }
 
     /// Schedule `f` to run `after` from now.
@@ -404,22 +377,11 @@ impl<W, M> Sim<W, M> {
     }
 
     /// Schedule a typed message for delivery at absolute time `at` — the
-    /// allocation-free twin of [`Sim::schedule_at`]. The message draws
-    /// its sequence number from the same counter as closures, so the two
-    /// lanes fire in exactly their combined scheduling order.
+    /// allocation-free twin of [`Sim::schedule_at`]. Messages and
+    /// closures share one queue and one sequence counter, so they fire in
+    /// exactly their combined scheduling order.
     pub fn schedule_msg_at(&mut self, at: SimTime, msg: M) -> EventId {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: at={at} now={}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.msgs.insert(at.as_nanos(), seq, msg);
-        EventId {
-            at: at.as_nanos(),
-            seq,
-        }
+        self.insert(at, Fired::Msg(msg))
     }
 
     /// Schedule a typed message for delivery `after` from now.
@@ -428,15 +390,14 @@ impl<W, M> Sim<W, M> {
         self.schedule_msg_at(at, msg)
     }
 
-    /// Cancel a previously scheduled event (either lane). Returns `true`
-    /// if the event had not yet fired; the entry is removed from its
-    /// wheel slot immediately. Sequence numbers are unique across lanes,
-    /// so at most one wheel holds the entry.
+    /// Cancel a previously scheduled event (closure or message). Returns
+    /// `true` if the event had not yet fired; the entry is removed from
+    /// its wheel slot immediately.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if id.seq >= self.seq {
             return false;
         }
-        self.wheel.cancel(id.at, id.seq) || self.msgs.cancel(id.at, id.seq)
+        self.queue.cancel(id.at, id.seq)
     }
 
     /// Schedule a periodic handler. The first firing happens at `start`;
@@ -468,16 +429,8 @@ impl<W, M> Sim<W, M> {
         W: HandleMsg<M>,
     {
         let mut n = 0;
-        let bound = until.as_nanos();
-        while let Some((at, fired)) = self.pop_next(bound) {
-            debug_assert!(at >= self.now.as_nanos(), "event time regressed");
-            self.now = SimTime::from_nanos(at);
-            self.executed += 1;
+        while self.fire_next(world, until.as_nanos()) {
             n += 1;
-            match fired {
-                Fired::Closure(f) => f(world, self),
-                Fired::Msg(m) => world.handle(self, m),
-            }
         }
         if self.now < until {
             self.now = until;
@@ -501,17 +454,8 @@ impl<W, M> Sim<W, M> {
         W: HandleMsg<M>,
     {
         let mut n = 0;
-        while n < max_events {
-            let Some((at, fired)) = self.pop_next(u64::MAX) else {
-                break;
-            };
-            self.now = SimTime::from_nanos(at);
-            self.executed += 1;
+        while n < max_events && self.fire_next(world, u64::MAX) {
             n += 1;
-            match fired {
-                Fired::Closure(f) => f(world, self),
-                Fired::Msg(m) => world.handle(self, m),
-            }
         }
         n
     }
@@ -674,34 +618,6 @@ mod tests {
         assert_eq!(w.count, 1000);
     }
 
-    #[test]
-    fn wheel_next_key_peeks_without_popping() {
-        let mut w: Wheel<u32> = Wheel::new();
-        assert_eq!(w.next_key(), None);
-        w.insert(500, 3, 0);
-        w.insert(500, 1, 1);
-        w.insert(80, 7, 2);
-        let horizon = 1u64 << 48;
-        w.insert(horizon + 9, 4, 3);
-        assert_eq!(w.next_key(), Some((80, 7)));
-        assert_eq!(
-            w.pop_min_if(u64::MAX).map(|(a, s, _)| (a, s)),
-            Some((80, 7))
-        );
-        // Ties at the same time resolve by sequence.
-        assert_eq!(w.next_key(), Some((500, 1)));
-        assert_eq!(
-            w.pop_min_if(u64::MAX).map(|(a, s, _)| (a, s)),
-            Some((500, 1))
-        );
-        assert_eq!(
-            w.pop_min_if(u64::MAX).map(|(a, s, _)| (a, s)),
-            Some((500, 3))
-        );
-        // Only the overflow entry remains.
-        assert_eq!(w.next_key(), Some((horizon + 9, 4)));
-    }
-
     #[derive(Debug, PartialEq, Eq)]
     enum Msg {
         Ping(u32),
@@ -715,7 +631,7 @@ mod tests {
         fn handle(&mut self, sim: &mut Sim<Self, Msg>, msg: Msg) {
             let Msg::Ping(k) = msg;
             self.log.push((sim.now().as_millis(), format!("msg{k}")));
-            // Handlers may schedule follow-ups in either lane.
+            // Handlers may schedule follow-up messages.
             if k == 7 {
                 sim.schedule_msg_in(SimDur::from_millis(1), Msg::Ping(8));
             }
@@ -738,7 +654,8 @@ mod tests {
         assert_eq!(sim.pending(), 4);
         let n = sim.run_until(&mut w, SimTime::from_secs(1));
         assert_eq!(n, 4);
-        // Same-time entries fire in scheduling order across both lanes.
+        // Same-time entries fire in scheduling order, closures and
+        // messages alike.
         let want: Vec<(u64, String)> = vec![
             (5, "msg1".into()),
             (10, "fn0".into()),

@@ -12,53 +12,17 @@ use simcore::{SimDur, SimTime};
 use simnet::{FaultPlan, LinkSpec, NodeId};
 use simos::host::HostConfig;
 
-/// Everything observable about a finished run, in comparable form.
-#[derive(PartialEq, Debug)]
-struct Fingerprint {
-    proc_trees: Vec<String>,
-    dmon_stats: Vec<String>,
-    mon_delivered: u64,
-    ctl_delivered: u64,
-    latency_len: usize,
-    latency_mean_bits: u64,
-    latency_p95_bits: u64,
-    net_deliveries: u64,
-    net_payload: u64,
-    net_drops: u64,
-    net_queue_hwm: (usize, u64),
-    fault_stats: String,
-}
-
-fn fingerprint(sim: &ClusterSim) -> Fingerprint {
-    let w = sim.world();
-    Fingerprint {
-        proc_trees: w.hosts.iter().map(|h| h.proc.render_tree()).collect(),
-        dmon_stats: w.dmons.iter().map(|d| format!("{:?}", d.stats)).collect(),
-        mon_delivered: w.mon_delivered,
-        ctl_delivered: w.ctl_delivered,
-        latency_len: w.mon_latency_us.len(),
-        latency_mean_bits: w.mon_latency_us.mean().to_bits(),
-        latency_p95_bits: w.mon_latency_us.percentile(95.0).to_bits(),
-        net_deliveries: w.net.deliveries(),
-        net_payload: w.net.payload_bytes(),
-        net_drops: w.net.link_drops(),
-        net_queue_hwm: w.net.queue_hwm(),
-        fault_stats: format!("{:?}", w.fault.stats),
-    }
-}
-
-/// Build + start a sim, apply the scenario's setup, run it, and
-/// fingerprint the result.
+/// Build + start a sim, apply the scenario's setup, and run it.
 fn run_one(
     cfg: impl Fn() -> ClusterConfig,
     setup: impl Fn(&mut ClusterSim),
     secs: u64,
-) -> Fingerprint {
+) -> ClusterSim {
     let mut sim = ClusterSim::new(cfg());
     sim.start();
     setup(&mut sim);
     sim.run_until(SimTime::from_secs(secs));
-    fingerprint(&sim)
+    sim
 }
 
 /// Assert the scenario replays bit-identically.
@@ -69,9 +33,16 @@ fn assert_replays(
     setup: impl Fn(&mut ClusterSim),
 ) {
     let first = run_one(&cfg, &setup, secs);
-    assert!(first.mon_delivered > 0, "{name}: the run did nothing");
+    assert!(
+        first.world().mon_delivered > 0,
+        "{name}: the run did nothing"
+    );
     let second = run_one(&cfg, &setup, secs);
-    assert_eq!(first, second, "{name}: replay diverged");
+    assert_eq!(
+        first.fingerprint(),
+        second.fingerprint(),
+        "{name}: replay diverged"
+    );
 }
 
 #[test]
@@ -193,8 +164,8 @@ fn overload_backpressure_is_bit_identical() {
             .any(|d| d.stats.ladder_transitions > 0),
         "overload scenario never moved the ladder — vacuous"
     );
-    let first = fingerprint(&probe);
-    let second = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 60);
+    let first = probe.fingerprint();
+    let second = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 60).fingerprint();
     assert_eq!(first, second, "overload: replay diverged");
 }
 
@@ -255,8 +226,8 @@ fn compiled_filters_are_bit_identical() {
         w.mon_delivered > 0,
         "filters suppressed everything — vacuous"
     );
-    let first = fingerprint(&probe);
-    let second = run_one(cfg, setup, 12);
+    let first = probe.fingerprint();
+    let second = run_one(cfg, setup, 12).fingerprint();
     assert_eq!(first, second, "compiled filters: replay diverged");
 }
 
@@ -291,8 +262,8 @@ fn hierarchical_racks_are_bit_identical() {
     assert!(sent > 0, "no digests sent — vacuous");
     assert!(recv > 0, "no digests received — vacuous");
     assert!(recv < sent, "the partition destroyed no digests — vacuous");
-    let first = fingerprint(&probe);
-    let second = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 14);
+    let first = probe.fingerprint();
+    let second = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 14).fingerprint();
     assert_eq!(first, second, "hierarchical: replay diverged");
 }
 
@@ -305,8 +276,8 @@ fn resumed_runs_are_bit_identical() {
     for k in 1..=8 {
         sim.run_until(SimTime::from_millis(1500 * k));
     }
-    let once = run_one(|| ClusterConfig::new(4), |_| {}, 12);
-    assert_eq!(once, fingerprint(&sim), "chunked run diverged");
+    let once = run_one(|| ClusterConfig::new(4), |_| {}, 12).fingerprint();
+    assert_eq!(once, sim.fingerprint(), "chunked run diverged");
 }
 
 // ---------- randomized replay ----------
@@ -357,7 +328,7 @@ fn scenario_strategy() -> impl Strategy<Value = RandomScenario> {
         )
 }
 
-fn run_random(s: &RandomScenario) -> Fingerprint {
+fn run_random(s: &RandomScenario) -> String {
     let mut cfg = ClusterConfig::new(s.nodes)
         .stagger(SimDur::from_micros(s.stagger_us))
         .event_pad(s.event_pad);
@@ -384,7 +355,7 @@ fn run_random(s: &RandomScenario) -> Fingerprint {
         sim.apply_fault_plan(&plan);
     }
     sim.run_until(SimTime::from_secs(s.secs));
-    fingerprint(&sim)
+    sim.fingerprint()
 }
 
 proptest! {
