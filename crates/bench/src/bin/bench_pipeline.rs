@@ -15,7 +15,8 @@
 //! `--quick` shortens the measured window (CI smoke). `--check` compares
 //! against a previously emitted JSON. It runs every exact gate first —
 //! the deterministic counters (memo, overload, compile split, digests),
-//! the hierarchy's spine/link invariants, the detlint state, and
+//! `ClusterSim::audit` on the overload, hier and scale runs, the
+//! hierarchy's spine drops, the detlint state, and
 //! allocs/event (>15% growth fails) — and only then the noisy wall-clock
 //! gate (>25% events/sec drop, best of 3). Every failure is reported
 //! together before the single non-zero exit, so a noisy throughput
@@ -125,6 +126,7 @@ struct Overload {
     link_drops: u64,
     events_shed: u64,
     ladder_transitions: u64,
+    audit: Vec<String>,
 }
 
 fn measure_overload() -> Overload {
@@ -146,6 +148,7 @@ fn measure_overload() -> Overload {
         link_drops: w.net.link_drops(),
         events_shed: w.dmons.iter().map(|d| d.stats.events_shed).sum(),
         ladder_transitions: w.dmons.iter().map(|d| d.stats.ladder_transitions).sum(),
+        audit: sim.audit(),
     }
 }
 
@@ -239,6 +242,7 @@ struct HierDigest {
     spine_drops: u64,
     staleness_p50_s: f64,
     staleness_p95_s: f64,
+    audit: Vec<String>,
 }
 
 fn measure_hier_digest() -> HierDigest {
@@ -262,6 +266,7 @@ fn measure_hier_digest() -> HierDigest {
         spine_drops: w.net.spine_drops(),
         staleness_p50_s: staleness.percentile(50.0),
         staleness_p95_s: staleness.percentile(95.0),
+        audit: sim.audit(),
     }
 }
 
@@ -284,9 +289,9 @@ impl HierDigest {
 /// in 32 racks (the CI scale smoke). Rack-scoped channels keep per-node
 /// fan-out at rack size, so the event volume grows linearly with the
 /// cluster — the run both proves the topology completes at scale and
-/// checks the two structural invariants that make the hierarchy honest:
-/// zero spine drops at steady state, and every link's lifetime throughput
-/// below its configured rate.
+/// checks that the hierarchy is honest: zero spine drops at steady
+/// state, and a clean `ClusterSim::audit` (every link's lifetime
+/// throughput below its configured rate, queues within their caps).
 struct ScaleRun {
     nodes: usize,
     racks: usize,
@@ -307,6 +312,7 @@ struct ScaleRun {
     /// peers it has talked to, so this grows with nodes × rack size;
     /// cluster-sized per-peer state would make it nodes².
     peer_slots: usize,
+    audit: Vec<String>,
 }
 
 fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
@@ -317,28 +323,7 @@ fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
     sim.run_until(SimTime::from_secs(sim_secs));
     let wall = start.elapsed();
     let w = sim.world();
-    let elapsed_s = sim_secs as f64;
-    let mut max_bps = 0.0f64;
-    let mut max_util = 0.0f64;
-    let mut track = |bytes: u64, rate_bps: f64| {
-        let bps = bytes as f64 * 8.0 / elapsed_s;
-        max_bps = max_bps.max(bps);
-        max_util = max_util.max(bps / rate_bps);
-    };
-    for i in 0..nodes {
-        let id = NodeId(i);
-        track(w.net.uplink(id).bytes(), w.net.uplink(id).effective_bps());
-        track(
-            w.net.downlink(id).bytes(),
-            w.net.downlink(id).effective_bps(),
-        );
-    }
-    for r in 0..w.net.n_racks() {
-        let up = w.net.switch_uplink(r);
-        let down = w.net.switch_downlink(r);
-        track(up.bytes(), up.effective_bps());
-        track(down.bytes(), down.effective_bps());
-    }
+    let (max_bps, max_util) = w.net.peak_link_rate(SimDur::from_secs(sim_secs));
     let mut staleness = simcore::stats::Sampler::new();
     for d in &w.dmons {
         for &s in d.stats.digest_staleness_s.values() {
@@ -359,6 +344,7 @@ fn measure_scale(nodes: usize, rack_size: usize, sim_secs: u64) -> ScaleRun {
         max_link_mbps: max_bps / 1e6,
         max_link_util: max_util,
         peer_slots: w.dmons.iter().map(|d| d.peer_slots()).sum(),
+        audit: sim.audit(),
     }
 }
 
@@ -560,20 +546,22 @@ fn main() {
             }
         }
     }
-    // Structural invariants of the hierarchy, independent of any
-    // baseline: the digest tier must fit its spine links (no drops at
-    // steady state, in either scripted scenario or the scale run), and no
-    // link may carry more than its configured rate.
+    // Invariants independent of any baseline: every cluster run passes
+    // the simulator's own audit (queues and outboxes within their caps,
+    // no link above its configured rate), and the digest tier fits its
+    // spine links (no drops at steady state, in either scripted scenario
+    // or the scale run).
+    for (run, audit) in [
+        ("overload", &overload.audit),
+        ("hier", &hier.audit),
+        ("scale", &scale.audit),
+    ] {
+        failures.extend(audit.iter().map(|v| format!("AUDIT ({run}): {v}")));
+    }
     if hier.spine_drops != 0 || scale.spine_drops != 0 {
         failures.push(format!(
             "SPINE DROPS at steady state (hier {}, scale {})",
             hier.spine_drops, scale.spine_drops
-        ));
-    }
-    if scale.max_link_util > 1.0 {
-        failures.push(format!(
-            "LINK OVERCOMMIT (peak utilization {:.3} > 1)",
-            scale.max_link_util
         ));
     }
     if scale.digests_received == 0 {
@@ -645,18 +633,7 @@ fn main() {
 /// findings incl. baselined)`, or `None` when no workspace root is
 /// reachable from the current directory (e.g. an installed binary).
 fn detlint_summary() -> Option<(u64, u64)> {
-    let mut root = std::env::current_dir().ok()?;
-    loop {
-        if std::fs::read_to_string(root.join("Cargo.toml"))
-            .map(|t| t.contains("[workspace]"))
-            .unwrap_or(false)
-        {
-            break;
-        }
-        if !root.pop() {
-            return None;
-        }
-    }
+    let root = detlint::workspace_root()?;
     let baseline_text = std::fs::read_to_string(root.join("detlint.baseline")).unwrap_or_default();
     let baseline = detlint::Baseline::parse(&baseline_text);
     let report = detlint::run_scan(&root, &baseline).ok()?;

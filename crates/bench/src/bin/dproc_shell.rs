@@ -539,7 +539,16 @@ impl Shell {
                 }
                 None => Err("no cluster yet".into()),
             },
-            Cmd::Lint { source } => Ok(Some(lint_report(&source)?)),
+            // The static verifier against the standard d-mon metric
+            // environment: the verdict a publisher would reach at deploy
+            // time.
+            Cmd::Lint { source } => {
+                let modules = dproc::modules::standard_modules();
+                let names = modules.iter().map(|m| m.metric_name());
+                let filter = ecode::Filter::compile(&source, &ecode::EnvSpec::new(names))
+                    .map_err(|e| format!("lint: compile error: {e}"))?;
+                Ok(Some(filter.report().trim_end().to_string()))
+            }
             Cmd::Detlint => Ok(Some(detlint_report()?)),
             Cmd::Credits { node } => {
                 let id = self.node(&node)?;
@@ -640,96 +649,13 @@ impl Shell {
     }
 }
 
-/// Run the static verifier on filter source against the standard d-mon
-/// metric environment; the report matches what a publisher would decide
-/// at deploy time.
-fn lint_report(source: &str) -> Result<String, String> {
-    use ecode::{vm, CostBound, EnvSpec, Filter, MetricSet};
-
-    let names: Vec<&str> = dproc::modules::standard_modules()
-        .iter()
-        .map(|m| m.metric_name())
-        .collect();
-    let env = EnvSpec::new(names);
-    let filter = Filter::compile(source, &env).map_err(|e| format!("lint: compile error: {e}"))?;
-    let cert = filter.cert();
-    let mut out = String::new();
-    for d in &cert.diagnostics {
-        out.push_str(&format!("{d}\n"));
-    }
-    match &cert.cost {
-        CostBound::Bounded(n) => out.push_str(&format!(
-            "cost: at most {n} VM instructions (budget {})\n",
-            vm::DEFAULT_BUDGET
-        )),
-        CostBound::Unbounded { pos, reason } => {
-            out.push_str(&format!("cost: unbounded (at {pos}): {reason}\n"));
-        }
-    }
-    match &cert.reads {
-        MetricSet::All => out.push_str("reads: all metrics (dynamic input index)\n"),
-        MetricSet::Fixed(set) if set.is_empty() => out.push_str("reads: nothing\n"),
-        MetricSet::Fixed(set) => {
-            let names: Vec<String> = set
-                .iter()
-                .map(|&i| {
-                    env.name_of(i)
-                        .map_or_else(|| format!("#{i}"), str::to_string)
-                })
-                .collect();
-            out.push_str(&format!("reads: {}\n", names.join(", ")));
-        }
-    }
-    match &cert.effects.writes {
-        MetricSet::All => out.push_str("writes: all output slots (dynamic index)\n"),
-        MetricSet::Fixed(set) if set.is_empty() => out.push_str("writes: nothing\n"),
-        MetricSet::Fixed(set) => {
-            let slots: Vec<String> = set.iter().map(|i| format!("output[{i}]")).collect();
-            out.push_str(&format!("writes: {}\n", slots.join(", ")));
-        }
-    }
-    let memo_note = match cert.effects.memo {
-        ecode::MemoClass::Shared => "one evaluation serves every subscriber",
-        ecode::MemoClass::SnapshotKeyed => {
-            "shared per input snapshot, records copied per subscriber"
-        }
-        ecode::MemoClass::Bypass => "touches last_value_sent — evaluated per subscriber",
-    };
-    out.push_str(&format!(
-        "memo: {} ({memo_note}); memo_safe = {}\n",
-        cert.effects.memo.label(),
-        cert.memo_safe
-    ));
-    match filter.admission_error() {
-        None => out.push_str("verdict: admitted"),
-        Some(reason) => out.push_str(&format!("verdict: rejected — {reason}")),
-    }
-    Ok(out)
-}
-
 /// Run the workspace replay-safety lint (same engine as
 /// `cargo run -p detlint -- --check`) and summarize the result plus the
 /// committed baseline.
 fn detlint_report() -> Result<String, String> {
-    use std::path::PathBuf;
-
-    // The shell may run from anywhere; find the workspace root the same
-    // way the detlint CLI does.
-    let mut root = std::env::current_dir().map_err(|e| format!("detlint: cwd: {e}"))?;
-    loop {
-        let manifest = root.join("Cargo.toml");
-        if std::fs::read_to_string(&manifest)
-            .map(|t| t.contains("[workspace]"))
-            .unwrap_or(false)
-        {
-            break;
-        }
-        if !root.pop() {
-            return Err("detlint: no workspace root above the current directory".into());
-        }
-    }
-    let baseline_path: PathBuf = root.join("detlint.baseline");
-    let baseline_text = std::fs::read_to_string(&baseline_path).unwrap_or_default();
+    let root = detlint::workspace_root()
+        .ok_or("detlint: no workspace root above the current directory")?;
+    let baseline_text = std::fs::read_to_string(root.join("detlint.baseline")).unwrap_or_default();
     let baseline = detlint::Baseline::parse(&baseline_text);
     let report = detlint::run_scan(&root, &baseline).map_err(|e| format!("detlint: {e}"))?;
     let mut out = String::new();

@@ -11,17 +11,16 @@
 use simcore::{HandleMsg, Sim, SimDur, SimTime};
 use simnet::link::{BytesWindow, LinkSpec};
 use simnet::topology::{Placement, TopologySpec};
-use simnet::traffic::FlowTable;
 use simnet::{ConnId, Delivery, Network, NodeId, TrafficClass};
 use simos::cpu::TaskState;
 use simos::host::{Host, HostConfig};
 use simos::workload::Linpack;
 use simos::TaskId;
 
-use kecho::{ChannelId, Directory, Event, EventKind, Hop, Topology};
+use kecho::{ChannelId, Directory, Event, EventKind, Hop, Topology, OUTBOX_CAP};
 
 use crate::calib::Calib;
-use crate::dmon::DMon;
+use crate::dmon::{DMon, PeerHealth};
 use crate::modules::standard_modules;
 
 /// Cluster construction parameters.
@@ -206,8 +205,6 @@ impl HandleMsg<ClusterEvent> for ClusterWorld {
 pub struct ClusterWorld {
     /// The switched network.
     pub net: Network,
-    /// Background flows (Iperf perturbation).
-    pub flows: FlowTable,
     /// One host per node.
     pub hosts: Vec<Host>,
     /// One d-mon per node.
@@ -257,9 +254,6 @@ pub struct ClusterWorld {
     /// Per-node events handled (sent + received) in a sliding 1 s window —
     /// feeds the Iperf probe's interference model.
     pub(crate) event_meter: Vec<BytesWindow>,
-    /// Endpoints and rate of each started flood, so stopping one can also
-    /// clear the hosts' NIC-level background observation.
-    pub(crate) flow_meta: std::collections::HashMap<simnet::FlowId, (NodeId, NodeId, f64)>,
 }
 
 /// The link-layer lane an event travels in. Monitoring data is bulk —
@@ -750,7 +744,6 @@ impl ClusterSim {
         }
         let mut world = ClusterWorld {
             net,
-            flows: FlowTable::new(),
             hosts,
             dmons,
             linpacks: (0..n).map(|_| Linpack::new()).collect(),
@@ -772,7 +765,6 @@ impl ClusterSim {
             event_meter: (0..n)
                 .map(|_| BytesWindow::new(SimDur::from_secs(1)))
                 .collect(),
-            flow_meta: std::collections::HashMap::new(),
         };
         for i in 0..n {
             world.subscribe_node(NodeId(i));
@@ -864,6 +856,84 @@ impl ClusterSim {
         )
     }
 
+    /// Violations of what must hold at every instant of every run, one
+    /// message each; empty when the run is sound:
+    /// - no link direction ever queued more messages than its cap (an
+    ///   empty queue always admits, so the cap is floored at one);
+    /// - no link direction carried more payload over the run so far than
+    ///   its nominal rate allows;
+    /// - no d-mon outbox holds more than [`OUTBOX_CAP`] frames.
+    ///
+    /// Read-only: auditing never perturbs the run or its fingerprint.
+    pub fn audit(&self) -> Vec<String> {
+        let w = &self.world;
+        let mut bad = Vec::new();
+        for link in w.net.links() {
+            let (hwm, cap) = (link.hwm_msgs(), link.spec().queue_msgs.max(1));
+            if hwm > cap {
+                bad.push(format!("link queue high-water mark {hwm} over cap {cap}"));
+            }
+        }
+        let (bps, util) = w.net.peak_link_rate(self.now().since(SimTime::ZERO));
+        if util > 1.0 {
+            bad.push(format!(
+                "link carried {:.3} Mb/s, {util:.3}x its nominal rate",
+                bps / 1e6
+            ));
+        }
+        for (d, h) in w.dmons.iter().zip(&w.hosts) {
+            let parked = d.max_outbox_len();
+            if parked > OUTBOX_CAP {
+                bad.push(format!(
+                    "{} outbox holds {parked}, over cap {OUTBOX_CAP}",
+                    h.name
+                ));
+            }
+        }
+        bad
+    }
+
+    /// [`ClusterSim::audit`] plus what must hold once every fault has
+    /// healed and the recovery margin has passed:
+    /// - every stream gap maps to a destroyed frame (fault drops plus
+    ///   queue tail-drops) — checked only here, because a priority-lane
+    ///   heartbeat can overtake queued bulk frames and open a gap that
+    ///   heals when they land;
+    /// - every node is alive, at ladder level 0, with empty outboxes;
+    /// - every node sees each rack-mate as Fresh (members never hear
+    ///   other racks, so only rack-mates are judged).
+    pub fn audit_settled(&self) -> Vec<String> {
+        let w = &self.world;
+        let mut bad = self.audit();
+        let gaps: u64 = w.dmons.iter().map(|d| d.stats.gaps_detected).sum();
+        let (lost, drops) = (w.fault.stats.events_lost, w.net.link_drops());
+        if gaps > lost + drops {
+            bad.push(format!(
+                "gaps {gaps} exceed destroyed frames {lost}+{drops}"
+            ));
+        }
+        for (i, (d, h)) in w.dmons.iter().zip(&w.hosts).enumerate() {
+            let name = &h.name;
+            if !w.is_alive(NodeId(i)) {
+                bad.push(format!("{name} not alive"));
+            }
+            if d.ladder_level() != 0 {
+                bad.push(format!("{name} stuck at ladder {}", d.ladder_level()));
+            }
+            if d.max_outbox_len() != 0 {
+                bad.push(format!("{name} outbox not drained"));
+            }
+            let rack = w.placement.rack(w.placement.rack_of(NodeId(i)));
+            for j in rack.range().filter(|&j| j != i) {
+                let seen = d.peer_health(NodeId(j));
+                if seen != Some(PeerHealth::Fresh) {
+                    bad.push(format!("{name} sees {} as {seen:?}", w.hosts[j].name));
+                }
+            }
+        }
+        bad
+    }
+
     /// Mutable world access (between runs).
     pub fn world_mut(&mut self) -> &mut ClusterWorld {
         &mut self.world
@@ -919,23 +989,11 @@ impl ClusterSim {
     /// Start an Iperf-style UDP flood between two nodes. Both endpoints'
     /// NIC counters observe the traffic (NET MON's available-bandwidth
     /// estimate reflects it).
-    pub fn start_iperf(&mut self, from: NodeId, to: NodeId, bps: f64) -> simnet::FlowId {
-        let id = self.world.flows.start(&mut self.world.net, from, to, bps);
+    /// The flood runs for the rest of the simulation.
+    pub fn start_iperf(&mut self, from: NodeId, to: NodeId, bps: f64) {
+        self.world.net.add_background(from, to, bps);
         self.world.hosts[from.0].observed_background_bps += bps;
         self.world.hosts[to.0].observed_background_bps += bps;
-        self.world.flow_meta.insert(id, (from, to, bps));
-        id
-    }
-
-    /// Stop a flood; clears the endpoints' NIC observations. Idempotent.
-    pub fn stop_iperf(&mut self, id: simnet::FlowId) {
-        self.world.flows.stop(&mut self.world.net, id);
-        if let Some((from, to, bps)) = self.world.flow_meta.remove(&id) {
-            let f = &mut self.world.hosts[from.0].observed_background_bps;
-            *f = (*f - bps).max(0.0);
-            let t = &mut self.world.hosts[to.0].observed_background_bps;
-            *t = (*t - bps).max(0.0);
-        }
     }
 }
 

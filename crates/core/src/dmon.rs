@@ -895,6 +895,16 @@ impl DMon {
         self.peers.get(sub).map_or(0, |p| p.outbox.len())
     }
 
+    /// The longest outbox over every contacted subscriber.
+    pub fn max_outbox_len(&self) -> usize {
+        self.peers
+            .slots
+            .iter()
+            .map(|p| p.outbox.len())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Credits currently available toward `sub`.
     pub fn credits_for(&self, sub: NodeId) -> u32 {
         self.peers.get(sub).map_or(0, |p| p.credit.available())

@@ -35,6 +35,21 @@ pub const SCAN_DIRS: &[&str] = &[
     "crates/simnet/src",
 ];
 
+/// Nearest ancestor of the current directory whose `Cargo.toml`
+/// declares `[workspace]`; `None` when there is none.
+pub fn workspace_root() -> Option<PathBuf> {
+    let mut dir = std::env::current_dir().ok()?;
+    loop {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+        if manifest.contains("[workspace]") {
+            return Some(dir);
+        }
+        if !dir.pop() {
+            return None;
+        }
+    }
+}
+
 /// Scan result: findings plus how the baseline split them.
 #[derive(Debug)]
 pub struct Report {

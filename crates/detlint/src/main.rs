@@ -59,22 +59,6 @@ fn parse_args() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// Nearest ancestor directory whose Cargo.toml declares `[workspace]`.
-fn find_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -83,7 +67,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let root = opts.root.unwrap_or_else(find_root);
+    let root = opts
+        .root
+        .or_else(detlint::workspace_root)
+        .unwrap_or_else(|| std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")));
     let baseline_path = opts
         .baseline
         .unwrap_or_else(|| root.join("detlint.baseline"));

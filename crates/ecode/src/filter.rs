@@ -1,6 +1,6 @@
 //! The public filter API: environments, records, compilation, execution.
 
-use crate::analysis::{self, FilterCert};
+use crate::analysis::{self, CostBound, FilterCert, MemoClass, MetricSet};
 use crate::bytecode::{self, Chunk};
 use crate::error::{CompileError, RuntimeError};
 use crate::parser::parse;
@@ -259,6 +259,75 @@ impl Filter {
     /// when it is admissible (finite worst-case cost within budget).
     pub fn admission_error(&self) -> Option<String> {
         self.cert.admission_error(self.budget)
+    }
+
+    /// The human-readable certificate, one line per fact: lint
+    /// diagnostics, worst-case cost against the budget, the metrics read,
+    /// the output slots written, whether it emits, its memo class, and
+    /// the admission verdict a d-mon would reach at deploy time.
+    pub fn report(&self) -> String {
+        use std::fmt::Write;
+
+        let cert = &self.cert;
+        let mut out = String::new();
+        for d in &cert.diagnostics {
+            writeln!(out, "{d}").unwrap();
+        }
+        match &cert.cost {
+            CostBound::Bounded(n) => writeln!(
+                out,
+                "cost: at most {n} VM instructions (budget {})",
+                self.budget
+            ),
+            CostBound::Unbounded { pos, reason } => {
+                writeln!(out, "cost: unbounded (at {pos}): {reason}")
+            }
+        }
+        .unwrap();
+        match &cert.reads {
+            MetricSet::All => writeln!(out, "reads: all metrics (dynamic input index)"),
+            MetricSet::Fixed(set) if set.is_empty() => writeln!(out, "reads: nothing"),
+            MetricSet::Fixed(set) => {
+                let names: Vec<String> = set
+                    .iter()
+                    .map(|&i| {
+                        self.env
+                            .name_of(i)
+                            .map_or_else(|| format!("#{i}"), str::to_string)
+                    })
+                    .collect();
+                writeln!(out, "reads: {}", names.join(", "))
+            }
+        }
+        .unwrap();
+        match &cert.effects.writes {
+            MetricSet::All => writeln!(out, "writes: all output slots (dynamic index)"),
+            MetricSet::Fixed(set) if set.is_empty() => writeln!(out, "writes: nothing"),
+            MetricSet::Fixed(set) => {
+                let slots: Vec<String> = set.iter().map(|i| format!("output[{i}]")).collect();
+                writeln!(out, "writes: {}", slots.join(", "))
+            }
+        }
+        .unwrap();
+        writeln!(out, "emits: {}", if cert.emits { "yes" } else { "no" }).unwrap();
+        let memo_note = match cert.effects.memo {
+            MemoClass::Shared => "one evaluation serves every subscriber",
+            MemoClass::SnapshotKeyed => "shared per input snapshot, records copied per subscriber",
+            MemoClass::Bypass => "touches last_value_sent — evaluated per subscriber",
+        };
+        writeln!(
+            out,
+            "memo: {} ({memo_note}); memo_safe = {}",
+            cert.effects.memo.label(),
+            cert.memo_safe
+        )
+        .unwrap();
+        match self.admission_error() {
+            None => writeln!(out, "verdict: admitted"),
+            Some(reason) => writeln!(out, "verdict: rejected — {reason}"),
+        }
+        .unwrap();
+        out
     }
 }
 

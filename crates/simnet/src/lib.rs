@@ -44,4 +44,3 @@ pub use fault::{DropReason, FaultAction, FaultPlan, FaultState, FaultStats};
 pub use link::{DirLink, LinkSpec};
 pub use network::{Delivery, DropDir, Network, NodeId, TrafficClass};
 pub use topology::{Placement, Rack, TopologySpec};
-pub use traffic::FlowId;

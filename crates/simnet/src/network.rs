@@ -297,9 +297,10 @@ impl Network {
         self.nodes[from.0].up.backlog(now) + self.nodes[to.0].down.backlog(now)
     }
 
-    /// Add fluid background load along the path `from` → `to` (including
-    /// the inter-switch links when the path crosses racks).
-    pub(crate) fn add_background(&mut self, from: NodeId, to: NodeId, bps: f64) {
+    /// Add fluid background load (e.g. an Iperf UDP flood) along the path
+    /// `from` → `to`, including the inter-switch links when the path
+    /// crosses racks.
+    pub fn add_background(&mut self, from: NodeId, to: NodeId, bps: f64) {
         self.check(from);
         self.check(to);
         self.nodes[from.0].up.add_background(bps);
@@ -308,19 +309,6 @@ impl Network {
         if rf != rt {
             self.switch_ups[rf].add_background(bps);
             self.switch_downs[rt].add_background(bps);
-        }
-    }
-
-    /// Remove fluid background load along the path `from` → `to`.
-    pub(crate) fn remove_background(&mut self, from: NodeId, to: NodeId, bps: f64) {
-        self.check(from);
-        self.check(to);
-        self.nodes[from.0].up.remove_background(bps);
-        self.nodes[to.0].down.remove_background(bps);
-        let (rf, rt) = (self.rack_of[from.0], self.rack_of[to.0]);
-        if rf != rt {
-            self.switch_ups[rf].remove_background(bps);
-            self.switch_downs[rt].remove_background(bps);
         }
     }
 
@@ -413,33 +401,41 @@ impl Network {
     /// Total messages tail-dropped by bounded link queues, every direction
     /// of every node plus the inter-switch links.
     pub fn link_drops(&self) -> u64 {
+        self.links().map(DirLink::drops).sum()
+    }
+
+    /// Every link direction: each node's uplink and downlink, then (on a
+    /// hierarchy) every rack → spine and spine → rack link.
+    pub fn links(&self) -> impl Iterator<Item = &DirLink> {
         self.nodes
             .iter()
-            .map(|n| n.up.drops() + n.down.drops())
-            .sum::<u64>()
-            + self.spine_drops()
+            .flat_map(|n| [&n.up, &n.down])
+            .chain(&self.switch_ups)
+            .chain(&self.switch_downs)
     }
 
     /// Largest queue-depth high-water mark across every link direction
     /// (inter-switch links included), as `(messages, wire bytes)` (the two
     /// maxima may come from different links).
     pub fn queue_hwm(&self) -> (usize, u64) {
-        let switches = || self.switch_ups.iter().chain(&self.switch_downs);
-        let msgs = self
-            .nodes
-            .iter()
-            .map(|n| n.up.hwm_msgs().max(n.down.hwm_msgs()))
-            .chain(switches().map(DirLink::hwm_msgs))
-            .max()
-            .unwrap_or(0);
-        let bytes = self
-            .nodes
-            .iter()
-            .map(|n| n.up.hwm_bytes().max(n.down.hwm_bytes()))
-            .chain(switches().map(DirLink::hwm_bytes))
-            .max()
-            .unwrap_or(0);
+        let msgs = self.links().map(DirLink::hwm_msgs).max().unwrap_or(0);
+        let bytes = self.links().map(DirLink::hwm_bytes).max().unwrap_or(0);
         (msgs, bytes)
+    }
+
+    /// Peak lifetime payload rate over every link direction after
+    /// `elapsed` of simulated time, as `(bits per second, utilization
+    /// against the link's nominal rate)` — the two maxima may come from
+    /// different links. `(0, 0)` before any time has passed.
+    pub fn peak_link_rate(&self, elapsed: SimDur) -> (f64, f64) {
+        let secs = elapsed.as_secs_f64();
+        if secs <= 0.0 {
+            return (0.0, 0.0);
+        }
+        self.links().fold((0.0f64, 0.0f64), |(bps, util), link| {
+            let rate = link.bytes() as f64 * 8.0 / secs;
+            (bps.max(rate), util.max(rate / link.spec().bandwidth_bps))
+        })
     }
 }
 

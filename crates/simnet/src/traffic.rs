@@ -1,98 +1,15 @@
 //! Background traffic generation and bandwidth probing.
 //!
 //! The paper perturbs the network with Iperf in UDP mode and *measures*
-//! available bandwidth with Iperf as well (Fig. 5, Fig. 10). [`FlowTable`]
-//! manages fluid UDP floods; [`iperf_available_bps`] reproduces the probe:
-//! it reports the residual capacity along a path after background floods
-//! and recent message traffic.
+//! available bandwidth with Iperf as well (Fig. 5, Fig. 10). Floods are
+//! fluid background load ([`Network::add_background`]);
+//! [`iperf_available_bps`] reproduces the probe: it reports the residual
+//! capacity along a path after background floods and recent message
+//! traffic.
 
 use simcore::SimTime;
 
 use crate::network::{Network, NodeId};
-
-/// Identifier of a running background flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowId(usize);
-
-#[derive(Debug, Clone)]
-struct Flow {
-    from: NodeId,
-    to: NodeId,
-    bps: f64,
-    active: bool,
-}
-
-/// Registry of fluid background flows attached to a [`Network`].
-#[derive(Debug, Default)]
-pub struct FlowTable {
-    flows: Vec<Flow>,
-}
-
-impl FlowTable {
-    /// Empty table.
-    pub fn new() -> Self {
-        FlowTable { flows: Vec::new() }
-    }
-
-    /// Start a UDP flood of `bps` from `from` to `to`. The load is applied
-    /// to the network immediately.
-    pub fn start(&mut self, net: &mut Network, from: NodeId, to: NodeId, bps: f64) -> FlowId {
-        assert!(bps >= 0.0, "negative flow rate");
-        net.add_background(from, to, bps);
-        self.flows.push(Flow {
-            from,
-            to,
-            bps,
-            active: true,
-        });
-        FlowId(self.flows.len() - 1)
-    }
-
-    /// Stop a flow; idempotent.
-    pub fn stop(&mut self, net: &mut Network, id: FlowId) {
-        let flow = &mut self.flows[id.0];
-        if flow.active {
-            net.remove_background(flow.from, flow.to, flow.bps);
-            flow.active = false;
-        }
-    }
-
-    /// Change a flow's rate in place.
-    pub fn set_rate(&mut self, net: &mut Network, id: FlowId, bps: f64) {
-        assert!(bps >= 0.0, "negative flow rate");
-        let flow = &mut self.flows[id.0];
-        if flow.active {
-            net.remove_background(flow.from, flow.to, flow.bps);
-            net.add_background(flow.from, flow.to, bps);
-        }
-        flow.bps = bps;
-    }
-
-    /// Rate of a flow in bits/sec (0 if stopped).
-    pub fn rate(&self, id: FlowId) -> f64 {
-        let f = &self.flows[id.0];
-        if f.active {
-            f.bps
-        } else {
-            0.0
-        }
-    }
-
-    /// Number of flows ever started.
-    pub fn len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// True if no flows were ever started.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
-    }
-
-    /// Number of currently active flows.
-    pub fn active(&self) -> usize {
-        self.flows.iter().filter(|f| f.active).count()
-    }
-}
 
 /// Iperf-style probe: available UDP bandwidth along `from` → `to` at `now`,
 /// in bits per second. The probe sees the raw capacity minus background
@@ -128,8 +45,7 @@ mod tests {
     #[test]
     fn floods_reduce_probe() {
         let mut n = net(3);
-        let mut flows = FlowTable::new();
-        flows.start(&mut n, NodeId(0), NodeId(1), 40e6);
+        n.add_background(NodeId(0), NodeId(1), 40e6);
         let avail = iperf_available_bps(&mut n, SimTime::ZERO, NodeId(0), NodeId(1));
         assert!((avail - 60e6).abs() < 1.0, "avail {avail}");
         // A disjoint path is unaffected.
@@ -137,31 +53,6 @@ mod tests {
         assert!((avail2 - 60e6).abs() < 1.0, "shares the downlink: {avail2}");
         let avail3 = iperf_available_bps(&mut n, SimTime::ZERO, NodeId(1), NodeId(2));
         assert!((avail3 - 100e6).abs() < 1.0, "fully disjoint: {avail3}");
-    }
-
-    #[test]
-    fn stop_restores_capacity() {
-        let mut n = net(2);
-        let mut flows = FlowTable::new();
-        let id = flows.start(&mut n, NodeId(0), NodeId(1), 80e6);
-        assert_eq!(flows.active(), 1);
-        flows.stop(&mut n, id);
-        flows.stop(&mut n, id); // idempotent
-        assert_eq!(flows.active(), 0);
-        assert_eq!(flows.rate(id), 0.0);
-        let avail = iperf_available_bps(&mut n, SimTime::ZERO, NodeId(0), NodeId(1));
-        assert!((avail - 100e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn set_rate_adjusts_load() {
-        let mut n = net(2);
-        let mut flows = FlowTable::new();
-        let id = flows.start(&mut n, NodeId(0), NodeId(1), 10e6);
-        flows.set_rate(&mut n, id, 70e6);
-        assert_eq!(flows.rate(id), 70e6);
-        let avail = iperf_available_bps(&mut n, SimTime::ZERO, NodeId(0), NodeId(1));
-        assert!((avail - 30e6).abs() < 1.0, "avail {avail}");
     }
 
     #[test]
@@ -177,11 +68,8 @@ mod tests {
     #[test]
     fn probe_never_negative() {
         let mut n = net(2);
-        let mut flows = FlowTable::new();
-        flows.start(&mut n, NodeId(0), NodeId(1), 250e6);
+        n.add_background(NodeId(0), NodeId(1), 250e6);
         let avail = iperf_available_bps(&mut n, SimTime::ZERO, NodeId(0), NodeId(1));
         assert_eq!(avail, 0.0);
-        assert!(!flows.is_empty());
-        assert_eq!(flows.len(), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! every transition lands at a predictable poll.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
-use kecho::{MAX_GAP_RANGES, OUTBOX_CAP};
+use kecho::MAX_GAP_RANGES;
 use simcore::{SimDur, SimTime};
 use simnet::link::LinkSpec;
 use simnet::{FaultPlan, NodeId};
@@ -38,6 +38,12 @@ fn scenario_plan() -> FaultPlan {
         .partition_at(t(20), NodeId(0), NodeId(1))
         .heal_at(t(30), NodeId(0), NodeId(1))
         .revive_at(t(40), NodeId(3))
+}
+
+/// Fail the test with every violation `ClusterSim::audit` or
+/// `ClusterSim::audit_settled` reported.
+fn assert_clean(violations: Vec<String>) {
+    assert!(violations.is_empty(), "audit: {violations:#?}");
 }
 
 fn status(sim: &ClusterSim, observer: usize, peer: &str) -> String {
@@ -124,6 +130,14 @@ fn scripted_scenario_walks_the_failure_lifecycle() {
     );
     assert!(w.fault.stats.partition_drops > 0);
     assert!(w.fault.stats.crash_drops > 0);
+    // Every survivor suspected, evicted, and counted missed heartbeats
+    // for the crashed node (and node0/node1 for each other).
+    for (i, d) in w.dmons.iter().take(3).enumerate() {
+        assert!(d.stats.nodes_suspected > 0, "node{i} suspected no one");
+        assert!(d.stats.nodes_evicted > 0, "node{i} evicted no one");
+        assert!(d.stats.heartbeats_missed > 0, "node{i} missed no heartbeat");
+    }
+    assert_clean(sim.audit_settled());
 }
 
 #[test]
@@ -142,6 +156,7 @@ fn fault_counters_stay_zero_without_faults() {
         assert_eq!(d.nodes_evicted, 0, "node{i}");
         assert_eq!(d.resyncs, 0, "node{i}");
     }
+    assert_clean(sim.audit_settled());
 }
 
 #[test]
@@ -155,6 +170,7 @@ fn dmon_stats_are_byte_identical_across_identical_faulted_runs() {
         sim.apply_fault_plan(&plan);
         sim.start();
         sim.run_until(t(60));
+        assert_clean(sim.audit_settled());
         let w = sim.world();
         let mut out = format!("{:?}", w.fault.stats);
         for d in &w.dmons {
@@ -226,6 +242,7 @@ fn smartpointer_degrades_to_conservative_format_while_client_is_stale() {
         end.fallbacks, healed.fallbacks,
         "no further fallbacks once fresh again"
     );
+    assert_clean(sim.audit_settled());
 
     // Control: the same deployment with no faults never falls back.
     let mut control = cluster(2);
@@ -233,6 +250,7 @@ fn smartpointer_degrades_to_conservative_format_while_client_is_stale() {
     let capp = install(&mut control);
     control.run_until(t(25));
     assert_eq!(capp.client_stats(0).fallbacks, 0);
+    assert_clean(control.audit_settled());
 }
 
 #[test]
@@ -273,6 +291,7 @@ fn dead_eviction_reaps_per_subscriber_stream_state() {
         "publication resumed and rebuilt the row"
     );
     assert!(w.dmons[0].sent_to(NodeId(3)) > frozen);
+    assert_clean(sim.audit_settled());
 }
 
 #[test]
@@ -312,6 +331,7 @@ fn replay_log_stays_bounded_under_repeated_reconfiguration() {
     sim.write_control(NodeId(0), "node1", "nofilter");
     sim.run_for(SimDur::from_secs(2));
     assert_eq!(sim.world().dmons[0].deployed_ctl_len(NodeId(1)), 2);
+    assert_clean(sim.audit_settled());
 }
 
 // === Overload: bounded queues, backpressure, and the degradation ladder ===
@@ -346,21 +366,16 @@ fn overload_backpressure_bounds_queues_and_walks_the_ladder() {
     sim.start();
 
     // Walk through the overload window a second at a time, tracking the
-    // highest ladder level each node reaches and checking the bounded-ness
-    // invariants at every step.
+    // highest ladder level each node reaches and auditing the
+    // every-instant invariants (bounded queues and outboxes, no link over
+    // its rate) at every step.
     let mut max_ladder = [0u8; 3];
     for s in 1..=95u64 {
         sim.run_until(t(s));
-        let w = sim.world();
-        let (hwm_msgs, _) = w.net.queue_hwm();
-        assert!(hwm_msgs <= 3, "queue depth {hwm_msgs} over cap at t={s}");
-        for (i, peak) in max_ladder.iter_mut().enumerate() {
-            *peak = (*peak).max(w.dmons[i].ladder_level());
-            for j in 0..3 {
-                let parked = w.dmons[i].outbox_len(NodeId(j));
-                assert!(parked <= OUTBOX_CAP, "outbox {parked} over cap at t={s}");
-            }
+        for (peak, d) in max_ladder.iter_mut().zip(&sim.world().dmons) {
+            *peak = (*peak).max(d.ladder_level());
         }
+        assert_clean(sim.audit().iter().map(|v| format!("t={s}: {v}")).collect());
     }
 
     let w = sim.world();
@@ -376,8 +391,8 @@ fn overload_backpressure_bounds_queues_and_walks_the_ladder() {
         max_ladder.iter().any(|&l| l > 0),
         "no node ever degraded: {max_ladder:?}"
     );
-    // Dropped frames are fully accounted as stream gaps — loss is
-    // observed, not silent.
+    // Dropped frames surface as stream gaps — loss is observed, not
+    // silent.
     assert!(w.dmons.iter().any(|d| d.stats.gaps_detected > 0));
 
     // Liveness held throughout: heartbeats ride the priority lane, so
@@ -386,24 +401,10 @@ fn overload_backpressure_bounds_queues_and_walks_the_ladder() {
         assert_eq!(w.dmons[i].stats.nodes_evicted, 0, "node{i} evicted a peer");
     }
 
-    // Hysteresis-guarded recovery: 50 s after the heal every ladder is
-    // back to full fidelity, every outbox has drained, and every peer
-    // is fresh again.
-    for i in 0..3 {
-        assert_eq!(w.dmons[i].ladder_level(), 0, "node{i} stuck degraded");
-        for j in 0..3 {
-            assert_eq!(w.dmons[i].outbox_len(NodeId(j)), 0, "outbox not drained");
-        }
-        let d = &w.dmons[i];
-        assert!(d.stats.ladder_transitions == 0 || d.stats.ladder_transitions >= 2);
-    }
-    for (i, peer) in [(0, "node1"), (0, "node2"), (2, "node0"), (1, "node2")] {
-        assert!(
-            status(&sim, i, peer).starts_with("fresh"),
-            "{i} sees {peer}: {}",
-            status(&sim, i, peer)
-        );
-    }
+    // Hysteresis-guarded recovery: 50 s after the heal every gap maps to
+    // a destroyed frame, every ladder is back to full fidelity, every
+    // outbox has drained, and every peer is fresh again.
+    assert_clean(sim.audit_settled());
 }
 
 #[test]
@@ -435,6 +436,7 @@ fn failure_detection_latency_is_unchanged_under_bulk_saturation() {
                 dead_at = Some(s);
             }
         }
+        assert_clean(sim.audit());
         (stale_at.expect("never stale"), dead_at.expect("never dead"))
     };
     let quiet = detect(false);
@@ -459,6 +461,7 @@ fn gap_memory_stays_bounded_through_sustained_loss() {
     );
     sim.start();
     sim.run_until(t(200));
+    assert_clean(sim.audit_settled());
 
     let w = sim.world();
     let mut total_gaps = 0u64;

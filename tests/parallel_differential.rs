@@ -3,7 +3,8 @@
 //! state — the full `/proc` forest on every host, the d-mon counters, the
 //! latency samplers (compared as raw f64 bits), the network and fault
 //! counters. Any hash-order iteration, wall-clock read, or ambient RNG
-//! draw that leaks into simulation state shows up here as a diff.
+//! draw that leaks into simulation state shows up here as a diff. The
+//! first run of every scenario must also pass `ClusterSim::audit`.
 
 use dproc::cluster::{ClusterConfig, ClusterSim};
 use kecho::Topology;
@@ -25,7 +26,13 @@ fn run_one(
     sim
 }
 
-/// Assert the scenario replays bit-identically.
+/// Fail `name` with every violation `ClusterSim::audit` reports.
+fn assert_audited(name: &str, sim: &ClusterSim) {
+    let violations = sim.audit();
+    assert!(violations.is_empty(), "{name}: audit: {violations:#?}");
+}
+
+/// Assert the scenario passes the audit and replays bit-identically.
 fn assert_replays(
     name: &str,
     secs: u64,
@@ -37,6 +44,7 @@ fn assert_replays(
         first.world().mon_delivered > 0,
         "{name}: the run did nothing"
     );
+    assert_audited(name, &first);
     let second = run_one(&cfg, &setup, secs);
     assert_eq!(
         first.fingerprint(),
@@ -164,6 +172,7 @@ fn overload_backpressure_is_bit_identical() {
             .any(|d| d.stats.ladder_transitions > 0),
         "overload scenario never moved the ladder — vacuous"
     );
+    assert_audited("overload", &probe);
     let first = probe.fingerprint();
     let second = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 60).fingerprint();
     assert_eq!(first, second, "overload: replay diverged");
@@ -226,6 +235,7 @@ fn compiled_filters_are_bit_identical() {
         w.mon_delivered > 0,
         "filters suppressed everything — vacuous"
     );
+    assert_audited("compiled filters", &probe);
     let first = probe.fingerprint();
     let second = run_one(cfg, setup, 12).fingerprint();
     assert_eq!(first, second, "compiled filters: replay diverged");
@@ -262,6 +272,7 @@ fn hierarchical_racks_are_bit_identical() {
     assert!(sent > 0, "no digests sent — vacuous");
     assert!(recv > 0, "no digests received — vacuous");
     assert!(recv < sent, "the partition destroyed no digests — vacuous");
+    assert_audited("hierarchical", &probe);
     let first = probe.fingerprint();
     let second = run_one(cfg, |sim| sim.apply_fault_plan(&plan), 14).fingerprint();
     assert_eq!(first, second, "hierarchical: replay diverged");
@@ -276,6 +287,7 @@ fn resumed_runs_are_bit_identical() {
     for k in 1..=8 {
         sim.run_until(SimTime::from_millis(1500 * k));
     }
+    assert_audited("resumed", &sim);
     let once = run_one(|| ClusterConfig::new(4), |_| {}, 12).fingerprint();
     assert_eq!(once, sim.fingerprint(), "chunked run diverged");
 }
@@ -328,7 +340,7 @@ fn scenario_strategy() -> impl Strategy<Value = RandomScenario> {
         )
 }
 
-fn run_random(s: &RandomScenario) -> String {
+fn run_random(s: &RandomScenario) -> ClusterSim {
     let mut cfg = ClusterConfig::new(s.nodes)
         .stagger(SimDur::from_micros(s.stagger_us))
         .event_pad(s.event_pad);
@@ -355,7 +367,7 @@ fn run_random(s: &RandomScenario) -> String {
         sim.apply_fault_plan(&plan);
     }
     sim.run_until(SimTime::from_secs(s.secs));
-    sim.fingerprint()
+    sim
 }
 
 proptest! {
@@ -363,7 +375,8 @@ proptest! {
     #[test]
     fn random_scenarios_are_bit_identical(s in scenario_strategy()) {
         let first = run_random(&s);
+        assert_audited(&format!("{s:?}"), &first);
         let second = run_random(&s);
-        prop_assert_eq!(first, second, "scenario {:?} diverged", s);
+        prop_assert_eq!(first.fingerprint(), second.fingerprint(), "scenario {:?} diverged", s);
     }
 }
